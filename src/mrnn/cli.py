@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,8 @@ from .corpus import (ImageFeatureStore, SynthSpec, build_dataset,
                      save_features, save_features_tsv, save_split_map, save_vocab)
 from .evaluation import (corpus_perplexity, generation_bleu, recall_curve,
                          retrieval_eval, shortlist)
-from .inference import (GenerationConfig, generate, marginal_log2prob,
-                        sentence_log2prob)
+from .inference import (GenerationConfig, generate, log2prob_matrix,
+                        normalized_log2prob_matrix)
 from .model import (ModelConfig, backward_sentence, load_checkpoint,
                     nearest_words, save_checkpoint)
 from .numerics import Rng
@@ -111,14 +110,6 @@ def require_files(*paths) -> None:
     for path in paths:
         if path is not None and not Path(path).exists():
             raise FileNotFoundError(f"missing file: {path}")
-
-
-def parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map; results are identical for any thread count."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +229,28 @@ def _load_eval_inputs(args):
     return params, vocab, subset, store, dataset
 
 
-def _write_metrics(args, command: str, metrics: dict, settings: dict) -> None:
+def _write_eval_files(args, command: str, settings: dict,
+                      files: dict[str, tuple[str, str]]) -> None:
+    """Write ``{output name: (file name, text)}`` and a manifest into ``--out``."""
     if not args.out:
         return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        for key in sorted(metrics):
-            fh.write(f"{key},{metrics[key]!r}\n")
+    for file_name, text in files.values():
+        (out / file_name).write_text(text, encoding="utf-8")
     inputs = {"checkpoint": args.checkpoint, "vocab": args.vocab,
               "captions": args.captions, "features": args.features}
     if args.split:
         inputs["split"] = args.split
     write_manifest(out, command, settings, inputs,
-                   {"metrics_json": "metrics.json", "metrics_csv": "metrics.csv"})
+                   {name: file_name for name, (file_name, _) in files.items()})
+
+
+def _write_metrics(args, command: str, metrics: dict, settings: dict) -> None:
+    rows = "".join(f"{key},{metrics[key]!r}\n" for key in sorted(metrics))
+    _write_eval_files(args, command, settings, {
+        "metrics_json": ("metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n"),
+        "metrics_csv": ("metrics.csv", "metric,value\n" + rows)})
 
 
 def cmd_eval_ppl(args) -> int:
@@ -281,7 +277,7 @@ def cmd_eval_bleu(args) -> int:
     return 0
 
 
-def _norm_feature_set(dataset, store, k: int, seed: int) -> list[np.ndarray]:
+def _norm_feature_set(dataset, store, k: int, seed: int) -> np.ndarray:
     """Image features used to approximate the unconditional sentence probability.
 
     Sampled once per run from the training images (all images when no split
@@ -290,37 +286,24 @@ def _norm_feature_set(dataset, store, k: int, seed: int) -> list[np.ndarray]:
     ids = sorted({ex.image_id for ex in dataset.train}) or store.ids()
     if k < len(ids):
         ids = sorted(Rng(seed).choice(ids, k))
-    return [store.get(i) for i in ids]
+    return store.matrix(ids)
 
 
 def _retrieval_scores(args, params, subset, store, dataset):
     """Score matrix, groundtruth and candidate ids for one direction."""
+    image_ids = sorted({ex.image_id for ex in subset})
+    tokens = [ex.tokens for ex in subset]
     if args.direction == "t2i":
-        image_ids = sorted({ex.image_id for ex in subset})
-        feats = [store.get(i) for i in image_ids]
-
-        def score_row(ex):
-            return np.array([-sentence_log2prob(params, ex.tokens, f)[1]
-                             for f in feats])
-
+        log2p = log2prob_matrix(params, tokens, store.matrix(image_ids))
+        positions = np.array([len(t) + 1 for t in tokens])
         # negative perplexity: higher = more relevant, ties by image id
-        scores = np.vstack(parallel_map(score_row, subset, args.threads))
+        scores = -(2.0 ** (-log2p / positions[:, None]))
         gt = {q: {ex.image_id} for q, ex in enumerate(subset)}
         return scores, gt, image_ids
 
-    image_ids = sorted({ex.image_id for ex in subset})
     cand_ids = [f"s{i:06d}" for i in range(len(subset))]
     norm_feats = _norm_feature_set(dataset, store, args.norm_images, args.seed)
-    marginals = parallel_map(
-        lambda ex: marginal_log2prob(params, ex.tokens, norm_feats), subset,
-        args.threads)
-
-    def score_row(image_id):
-        feat = store.get(image_id)
-        return np.array([sentence_log2prob(params, ex.tokens, feat)[0] - marg
-                         for ex, marg in zip(subset, marginals)])
-
-    scores = np.vstack(parallel_map(score_row, image_ids, args.threads))
+    scores = normalized_log2prob_matrix(params, tokens, store.matrix(image_ids), norm_feats).T
 
     if getattr(args, "shortlist", None):
         sub_store = ImageFeatureStore(store.feature_dim)
@@ -352,7 +335,7 @@ def cmd_eval_retrieval(args) -> int:
                     "med_r": metrics.med_r},
                    {"subset": args.subset, "direction": args.direction,
                     "shortlist": args.shortlist, "norm_images": args.norm_images,
-                    "seed": args.seed, "threads": args.threads})
+                    "seed": args.seed})
     return 0
 
 
@@ -363,24 +346,13 @@ def cmd_eval_curve(args) -> int:
     fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     scores, gt, cand_ids = _retrieval_scores(args, params, subset, store, dataset)
     curve = recall_curve(scores, gt, fractions, candidate_ids=cand_ids)
-    for f, mean in curve.points:
-        print(f"{f!r},{mean!r}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "curve.csv", "w", encoding="utf-8") as fh:
-            fh.write("fraction,mean_matches\n")
-            for f, mean in curve.points:
-                fh.write(f"{f!r},{mean!r}\n")
-        inputs = {"checkpoint": args.checkpoint, "vocab": args.vocab,
-                  "captions": args.captions, "features": args.features}
-        if args.split:
-            inputs["split"] = args.split
-        write_manifest(out, "eval-curve",
-                       {"subset": args.subset, "direction": args.direction,
-                        "fractions": fractions, "norm_images": args.norm_images,
-                        "seed": args.seed, "threads": args.threads},
-                       inputs, {"curve": "curve.csv"})
+    rows = "".join(f"{f!r},{mean!r}\n" for f, mean in curve.points)
+    print(rows, end="")
+    _write_eval_files(args, "eval-curve",
+                      {"subset": args.subset, "direction": args.direction,
+                       "fractions": fractions, "norm_images": args.norm_images,
+                       "seed": args.seed},
+                      {"curve": ("curve.csv", "fraction,mean_matches\n" + rows)})
     return 0
 
 
@@ -431,7 +403,9 @@ def _add_retrieval_common(sub):
     sub.add_argument("--norm-images", type=int, default=100,
                      help="images sampled for the sentence-probability marginal")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored: scoring runs one pass per sentence "
+                          "on the calling thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -153,6 +153,11 @@ class ImageFeatureStore:
         """All image ids in sorted order (rankings must not depend on insertion order)."""
         return sorted(self._entries)
 
+    def matrix(self, image_ids: list[str]) -> np.ndarray:
+        """The features of ``image_ids`` as rows of one (N, feature_dim) array."""
+        return np.array([self.get(i) for i in image_ids],
+                        dtype=np.float64).reshape(len(image_ids), self.feature_dim)
+
 
 @dataclass
 class DatasetSplit:

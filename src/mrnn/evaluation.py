@@ -11,6 +11,7 @@ import numpy as np
 from .corpus import CaptionedExample, ImageFeatureStore, Vocabulary
 from .inference import GenerationConfig, generate, sentence_log2prob
 from .model import ModelParams
+from .training import _feature_for
 
 
 @dataclass
@@ -79,8 +80,7 @@ def corpus_perplexity(params: ModelParams, examples: list[CaptionedExample],
     total_log2 = 0.0
     total_words = 0
     for ex in examples:
-        feat = None if params.config.variant == "baseline" else features.get(ex.image_id)
-        log2p, _ = sentence_log2prob(params, ex.tokens, feat)
+        log2p, _ = sentence_log2prob(params, ex.tokens, _feature_for(params, features, ex))
         total_log2 += log2p
         total_words += len(ex.tokens) + 1
     return 2.0 ** (-total_log2 / total_words)

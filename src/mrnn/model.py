@@ -213,6 +213,35 @@ def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
     return y, r, StepTrace(word_index, y, r, e1, e2, m_pre, m)
 
 
+def multimodal_base(params: ModelParams, inputs: list[int]) -> np.ndarray:
+    """Image-free part of the multimodal pre-activation over a sentence, (T, d_m).
+
+    ``forward_step``'s embedding and recurrent layers run over all T input
+    words at once; only the carry through ``U_r`` is sequential.  Adding
+    ``V_I . I`` gives ``forward_step``'s ``m_pre`` at each step (mrnn only).
+    """
+    cfg = params.config
+    bad = [w for w in inputs if not 0 <= w < cfg.vocab_size]
+    if bad:
+        raise IndexError(f"word index {bad[0]} out of range for M={cfg.vocab_size}")
+    e2 = relu(params["E1"][inputs] @ params["E2"].T + params["b_e2"])
+    drive = e2 @ params["W_in"].T + params["b_r"]
+    rec = np.empty((len(inputs), cfg.d_r), dtype=params.dtype)
+    r = np.zeros(cfg.d_r, dtype=params.dtype)
+    for t, x in enumerate(drive):
+        r = relu(matvec(params["U_r"], r) + x)
+        rec[t] = r
+    return e2 @ params["V_w"].T + rec @ params["V_r"].T + params["b_m"]
+
+
+def output_logits(params: ModelParams, m_pre: np.ndarray) -> np.ndarray:
+    """Output-layer logits for multimodal pre-activations along the last axis.
+
+    ``forward_step``'s ``y`` is the softmax of these logits.
+    """
+    return scaled_tanh(m_pre) @ params["W_out"].T + params["b_out"]
+
+
 def sentence_inputs_targets(tokens: list[int]) -> tuple[list[int], list[int]]:
     """Unrolled (inputs, targets) for a content-token sequence.
 
@@ -362,6 +391,10 @@ def load_checkpoint(path) -> ModelParams:
         version, variant_code, dtype_code = struct.unpack("<IBB", read(fh, 6, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
+        if variant_code >= len(VARIANTS):
+            raise ValueError(f"unknown variant code {variant_code} in checkpoint header")
+        if dtype_code not in _CODE_DTYPES:
+            raise ValueError(f"unknown dtype code {dtype_code} in checkpoint header")
         m, d_e1, d_e2, d_r, d_m, d_i = struct.unpack("<6I", read(fh, 24, "config"))
         cfg = ModelConfig(vocab_size=m, d_i=d_i, variant=VARIANTS[variant_code],
                           d_e1=d_e1, d_e2=d_e2, d_r=d_r, d_m=d_m)
@@ -376,4 +409,6 @@ def load_checkpoint(path) -> ModelParams:
             count = int(np.prod(shape))
             buf = read(fh, 8 * count, name)
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(dtype)
+        if fh.read(1):
+            raise ValueError(f"{path} has trailing bytes after the last array")
     return ModelParams(cfg, arrays)

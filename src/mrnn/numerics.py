@@ -87,12 +87,6 @@ class Rng:
         return Rng(self.next_u64())
 
 
-def assert_finite(arr: np.ndarray, name: str = "array") -> None:
-    """Raise if any entry is NaN or infinite."""
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {name}")
-
-
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product with an explicit dimension check."""
     if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
@@ -132,9 +126,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - math.log(np.exp(shifted).sum())
+def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-probabilities along ``axis``, max-subtracted for overflow safety."""
+    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def init_matrix(rows: int, cols: int, scheme: str, rng: Rng,

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from mrnn.model import forward_sentence, sentence_inputs_targets
+from mrnn.numerics import Rng
 
 
 def oracle_bleu(candidates, references, n_max=3, cumulative=True):
@@ -97,6 +98,30 @@ def numeric_sentence_gradient(params, tokens, image_feature, h=1e-5):
     return grads
 
 
+def randomize_biases(params, seed):
+    """Give every bias random values (initialization leaves them at zero)."""
+    rng = Rng(seed)
+    for name, arr in params.arrays.items():
+        if name.startswith("b_"):
+            arr[:] = rng.uniform(-0.5, 0.5, arr.size)
+    return params
+
+
 def block_rel_err(analytic, numeric):
     denom = np.linalg.norm(analytic) + np.linalg.norm(numeric)
     return 0.0 if denom == 0 else float(np.linalg.norm(analytic - numeric)) / denom
+
+
+# Header layout: 4-byte magic, u32 version, u8 variant code, u8 dtype code.
+CORRUPTIONS = {
+    "variant": lambda blob: blob[:8] + bytes([7]) + blob[9:],
+    "dtype": lambda blob: blob[:9] + bytes([9]) + blob[10:],
+    "trailing": lambda blob: blob + b"\x00",
+}
+
+
+def corrupt_checkpoint(path, kind):
+    """Write a copy of the checkpoint with one defect next to it."""
+    bad = path.with_name(f"{kind}.mrnm")
+    bad.write_bytes(CORRUPTIONS[kind](path.read_bytes()))
+    return bad

@@ -1,8 +1,18 @@
+import argparse
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from helpers import corrupt_checkpoint, randomize_biases
+from mrnn.cli import _retrieval_scores
+from mrnn.corpus import SynthSpec, generate_synthetic_corpus
+from mrnn.inference import sentence_log2prob
+from mrnn.model import ModelConfig, ModelParams
+from mrnn.numerics import Rng
 
 
 def run_cli(*args, check=True):
@@ -285,6 +295,58 @@ class TestEval:
                        "--features", str(data / "features.mrnf"),
                        "--subset", "train", check=False)
         assert proc.returncode != 0  # no split file: everything lands in test
+
+    @pytest.mark.parametrize("kind", ["variant", "dtype", "trailing"])
+    def test_corrupt_checkpoint_is_one_error_line(self, workspace, tmp_path, kind):
+        good = tmp_path / "m.mrnm"
+        good.write_bytes((workspace["run"] / "checkpoint.mrnm").read_bytes())
+        args = eval_args(workspace, "--subset", "test")
+        args[1] = str(corrupt_checkpoint(good, kind))
+        proc = run_cli("eval", "ppl", *args, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestRetrievalScores:
+    """The engine-backed score matrices against per-pair sentence_log2prob."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        spec = SynthSpec(n_topics=3, captions_per_image=2, train_frac=0.6, val_frac=0.2)
+        dataset, store, vocab = generate_synthetic_corpus(Rng(5), 15, spec)
+        cfg = ModelConfig(vocab_size=vocab.size, d_i=store.feature_dim,
+                          d_e1=5, d_e2=6, d_r=7, d_m=9)
+        return randomize_biases(ModelParams.initialize(cfg, Rng(8)), 9), dataset, store
+
+    def scores(self, setup, direction, shortlist=None):
+        params, dataset, store = setup
+        args = argparse.Namespace(direction=direction, norm_images=4, seed=2,
+                                  shortlist=shortlist)
+        return _retrieval_scores(args, params, dataset.train, store, dataset)
+
+    def test_t2i_matches_per_pair_oracle(self, setup):
+        params, dataset, store = setup
+        scores, _, image_ids = self.scores(setup, "t2i")
+        oracle = [[-sentence_log2prob(params, ex.tokens, store.get(i))[1] for i in image_ids]
+                  for ex in dataset.train]
+        np.testing.assert_allclose(scores, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shortlist", [None, 3])
+    def test_i2t_matches_per_pair_oracle(self, setup, shortlist):
+        params, dataset, store = setup
+        scores, _, _ = self.scores(setup, "i2t", shortlist)
+        image_ids = sorted({ex.image_id for ex in dataset.train})
+        norm = sorted(Rng(2).choice(image_ids, 4))
+        oracle = np.empty((len(image_ids), len(dataset.train)))
+        for c, ex in enumerate(dataset.train):
+            marginal = math.log2(sum(2.0 ** sentence_log2prob(params, ex.tokens, store.get(i))[0]
+                                     for i in norm) / len(norm))
+            for q, image_id in enumerate(image_ids):
+                oracle[q, c] = sentence_log2prob(params, ex.tokens, store.get(image_id))[0] - marginal
+        finite = np.isfinite(scores)
+        assert finite.all() == (shortlist is None)
+        np.testing.assert_allclose(scores[finite], oracle[finite], rtol=0, atol=1e-12)
 
 
 class TestGradcheckCli:

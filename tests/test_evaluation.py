@@ -128,6 +128,10 @@ class TestCorpusPerplexity:
         with pytest.raises(ValueError):
             corpus_perplexity(self.zero_params(), [], FEAT_STORE)
 
+    def test_mrnn_without_feature_store_is_named_error(self):
+        with pytest.raises(ValueError, match="needs an image feature store"):
+            corpus_perplexity(self.zero_params(), [example("im0", [3, 4])], None)
+
 
 class TestRetrievalEval:
     def test_oracle_scores(self):

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+from helpers import randomize_biases
+from mrnn import inference
 from mrnn.corpus import ImageFeatureStore, build_vocabulary
 from mrnn.inference import (GenerationConfig, generate, log2_sum_exp2,
-                            marginal_log2prob, retrieve_images,
+                            log2prob_matrix, marginal_log2prob, retrieve_images,
                             retrieve_sentences, sentence_log2prob)
 from mrnn.model import ModelConfig, ModelParams
 from mrnn.numerics import Rng
@@ -94,6 +97,50 @@ class TestSentenceLog2Prob:
     def test_empty_sentence_scores_end_only(self):
         log2p, ppl = sentence_log2prob(make_params(zeros=True), [], FEAT)
         assert ppl == pytest.approx(VOCAB.size, abs=1e-9)
+
+
+class TestLog2ProbMatrix:
+    """The image-factored engine against the per-step sentence_log2prob."""
+
+    SENTENCES = [[], [3], [3, 4, 5], VOCAB.encode("summit ridge pines glacier sand"), [3, 4, 5]]
+
+    @staticmethod
+    def oracle(params, sentences, feats):
+        return np.array([[sentence_log2prob(params, t, f)[0] for f in feats]
+                         for t in sentences])
+
+    # chunk elements: one image per chunk, three images per 2-step chunk
+    # (so 10 images end in a partial chunk), and the default bound
+    @pytest.mark.parametrize("chunk_elements", [1, 3 * 2 * VOCAB.size, None])
+    @pytest.mark.parametrize("n_images", [1, 10])
+    def test_matches_per_step_oracle(self, monkeypatch, chunk_elements, n_images):
+        if chunk_elements is not None:
+            monkeypatch.setattr(inference, "CHUNK_ELEMENTS", chunk_elements)
+        for seed in range(4):
+            params = randomize_biases(make_params(seed), seed)
+            feats = Rng(100 + seed).uniform(-1, 1, 3 * n_images).reshape(n_images, 3)
+            got = log2prob_matrix(params, self.SENTENCES, feats)
+            assert got.shape == (len(self.SENTENCES), n_images)
+            np.testing.assert_allclose(got, self.oracle(params, self.SENTENCES, feats),
+                                       rtol=0, atol=1e-12)
+
+    def test_empty_inputs_give_empty_matrix(self):
+        params = make_params(2)
+        assert log2prob_matrix(params, [], np.zeros((3, 3))).shape == (0, 3)
+        assert log2prob_matrix(params, [[3]], np.zeros((0, 3))).shape == (1, 0)
+
+    def test_bad_inputs(self):
+        params = make_params(3)
+        with pytest.raises(ValueError, match="image matrix"):
+            log2prob_matrix(params, [[3]], np.zeros((2, 4)))
+        with pytest.raises(IndexError):
+            log2prob_matrix(params, [[VOCAB.size]], np.zeros((2, 3)))
+        with pytest.raises(IndexError):
+            log2prob_matrix(params, [[-1]], np.zeros((2, 3)))
+        baseline = ModelParams.initialize(
+            ModelConfig(vocab_size=VOCAB.size, d_i=3, variant="baseline", d_r=6), Rng(0))
+        with pytest.raises(ValueError, match="mrnn variant"):
+            log2prob_matrix(baseline, [[3]], np.zeros((2, 3)))
 
 
 class TestRetrieveImages:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import block_rel_err, numeric_sentence_gradient
+from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradient,
+                     randomize_biases)
 from mrnn.corpus import build_vocabulary
 from mrnn.model import (ModelConfig, ModelParams, backward_sentence,
                         forward_sentence, forward_step, load_checkpoint,
-                        nearest_words, save_checkpoint,
-                        sentence_inputs_targets)
-from mrnn.numerics import Rng
+                        multimodal_base, nearest_words, output_logits,
+                        save_checkpoint, sentence_inputs_targets)
+from mrnn.numerics import Rng, softmax
 
 
 def tiny_config(variant="mrnn"):
@@ -108,6 +109,20 @@ class TestForward:
         yb = forward_sentence(params, [2, 3], FEAT)
         for sa, sb in zip(ya.steps, yb.steps):
             assert_array_equal(sa.y, sb.y)
+
+    def test_batched_layers_match_forward_step(self):
+        params = randomize_biases(tiny_params(seed=5), 5)
+        inputs, _ = sentence_inputs_targets([1, 9, 2, 4])
+        m_pre = multimodal_base(params, inputs) + params["V_I"] @ FEAT
+        trace = forward_sentence(params, [1, 9, 2, 4], FEAT)
+        for t, step in enumerate(trace.steps):
+            assert_allclose(m_pre[t], step.m_pre, rtol=0, atol=1e-13)
+            assert_allclose(softmax(output_logits(params, m_pre[t])), step.y,
+                            rtol=0, atol=1e-13)
+
+    def test_batched_word_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            multimodal_base(tiny_params(), [0, 11])
 
 
 class TestBackward:
@@ -260,3 +275,15 @@ class TestCheckpoint:
         (tmp_path / "cut.mrnm").write_bytes(blob[:-100])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(tmp_path / "cut.mrnm")
+
+    @pytest.mark.parametrize("kind, match", [
+        ("variant", "unknown variant code 7"),
+        ("dtype", "unknown dtype code 9"),
+        ("trailing", "trailing bytes"),
+    ])
+    def test_corrupt_header_or_tail_is_named_error(self, tmp_path, kind, match):
+        save_checkpoint(tiny_params(), tmp_path / "m.mrnm")
+        path = corrupt_checkpoint(tmp_path / "m.mrnm", kind)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
