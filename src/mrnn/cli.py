@@ -196,10 +196,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    require_files(args.checkpoint, args.vocab, args.features)
+def _load_model(args):
+    """The checkpoint and the vocabulary it was trained with."""
+    require_files(args.checkpoint, args.vocab)
     params = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
+    if vocab.size != params.config.vocab_size:
+        raise ValueError(f"{args.vocab} has {vocab.size} words but {args.checkpoint} "
+                         f"was trained on {params.config.vocab_size}")
+    return params, vocab
+
+
+def cmd_generate(args) -> int:
+    require_files(args.features)
+    params, vocab = _load_model(args)
     store = load_features(args.features)
     prefix = vocab.encode(args.prefix) if args.prefix else None
     gcfg = GenerationConfig(mode=args.mode, max_length=args.max_len,
@@ -213,10 +223,8 @@ def cmd_generate(args) -> int:
 
 
 def _load_eval_inputs(args):
-    require_files(args.checkpoint, args.vocab, args.captions, args.features,
-                  getattr(args, "split", None))
-    params = load_checkpoint(args.checkpoint)
-    vocab = load_vocab(args.vocab)
+    require_files(args.captions, args.features, args.split)
+    params, vocab = _load_model(args)
     pairs = load_captions(args.captions)
     store = load_features(args.features)
     split_map = load_split_map(args.split) if args.split else None
@@ -376,9 +384,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_nearest(args) -> int:
-    require_files(args.checkpoint, args.vocab)
-    params = load_checkpoint(args.checkpoint)
-    vocab = load_vocab(args.vocab)
+    params, vocab = _load_model(args)
     for token in nearest_words(params, vocab, args.token, args.k):
         print(token)
     return 0

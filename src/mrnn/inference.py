@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, ImageFeatureStore, Vocabulary
-from .model import (ModelParams, forward_sentence, forward_step, multimodal_base,
-                    output_logits, sentence_inputs_targets)
-from .numerics import Rng, log_softmax
-
-LN2 = math.log(2.0)
+from .model import (LN2, ModelParams, forward_sentence, forward_step, output_logits,
+                    sentence_inputs_targets, sentence_layers)
+from .numerics import Rng, log_softmax, scaled_tanh
 
 # Bound on the elements of one image chunk's (images, T, max(d_m, V))
 # activations in log2prob_matrix.  2**15 (256 KB at float64) held retrieval
@@ -85,11 +83,11 @@ def generate(params: ModelParams, vocab: Vocabulary, image_feature,
     limit = gcfg.force_length if gcfg.force_length is not None else gcfg.max_length
 
     r = np.zeros(params.config.d_r, dtype=params.dtype)
-    y, r, _ = forward_step(params, START_INDEX, r, image_feature)
+    y, r = forward_step(params, START_INDEX, r, image_feature)
     out: list[int] = []
     for w in gcfg.prefix or []:
         out.append(w)
-        y, r, _ = forward_step(params, w, r, image_feature)
+        y, r = forward_step(params, w, r, image_feature)
     while len(out) < limit:
         w = _pick(y, gcfg.mode, rng, ban_end=gcfg.force_length is not None)
         if w == END_INDEX:
@@ -97,7 +95,7 @@ def generate(params: ModelParams, vocab: Vocabulary, image_feature,
         out.append(w)
         if len(out) >= limit:
             break
-        y, r, _ = forward_step(params, w, r, image_feature)
+        y, r = forward_step(params, w, r, image_feature)
     return vocab.decode(out)
 
 
@@ -107,11 +105,11 @@ def sentence_log2prob(params: ModelParams, tokens: list[int],
 
     Both count the end-sign prediction, so a sentence with L content tokens
     spans L+1 positions and log2prob == -(L+1) * log2(ppl).  This is the
-    per-step reference that ``log2prob_matrix`` is tested against.
+    one-image reference that ``log2prob_matrix`` is tested against.
     """
     trace = forward_sentence(params, tokens, image_feature)
     _, targets = sentence_inputs_targets(tokens)
-    log2p = sum(float(np.log2(step.y[t])) for step, t in zip(trace.steps, targets))
+    log2p = trace.log2prob(targets)
     ppl = 2.0 ** (-log2p / len(targets))
     return log2p, ppl
 
@@ -119,13 +117,14 @@ def sentence_log2prob(params: ModelParams, tokens: list[int],
 def _score_sentence(params: ModelParams, tokens: list[int], img: np.ndarray) -> np.ndarray:
     """log2 P(tokens | image n) for every row n of the projected images ``img``."""
     inputs, targets = sentence_inputs_targets(tokens)
-    base = multimodal_base(params, inputs)
+    _, m_base = sentence_layers(params, inputs)
     steps = np.arange(len(inputs))
     chunk = max(1, CHUNK_ELEMENTS // (len(inputs) * max(params.config.d_m,
                                                           params.config.vocab_size)))
     row = np.empty(len(img))
     for lo in range(0, len(img), chunk):
-        logp = log_softmax(output_logits(params, base + img[lo:lo + chunk, None, :]))
+        m = scaled_tanh(m_base + img[lo:lo + chunk, None, :])
+        logp = log_softmax(output_logits(params, m))
         row[lo:lo + chunk] = logp[:, steps, targets].sum(axis=1)
     return row / LN2
 

@@ -17,14 +17,17 @@ backward pass propagates through every step (no truncation).
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, Vocabulary
 from .numerics import (Rng, init_matrix, matvec, relu, scaled_tanh,
                        scaled_tanh_grad_from_output, sigmoid, softmax)
+
+LN2 = math.log(2.0)
 
 CHECKPOINT_MAGIC = b"MRNM"
 CHECKPOINT_VERSION = 1
@@ -159,33 +162,44 @@ Gradients = ModelParams
 
 
 @dataclass
-class StepTrace:
-    """Activations of one timestep, retained for the backward pass."""
-    input_index: int
-    y: np.ndarray
+class ForwardTrace:
+    """One sentence's forward activations, one row per timestep.
+
+    ``r`` has T+1 rows: row 0 is the zero initial state r(0) and row t+1
+    the state after consuming ``inputs[t]``.  ``e1``, ``e2`` and ``m`` stay
+    None for the baseline variant.
+    """
+    inputs: np.ndarray
     r: np.ndarray
     e1: np.ndarray | None = None
     e2: np.ndarray | None = None
-    m_pre: np.ndarray | None = None
     m: np.ndarray | None = None
-
-
-@dataclass
-class ForwardTrace:
-    """Per-timestep activations of one sentence's forward pass."""
-    r0: np.ndarray
-    steps: list[StepTrace] = field(default_factory=list)
+    y: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.inputs)
+
+    def log2prob(self, targets) -> float:
+        """Summed log2 probability of the targets; -inf if one has probability 0."""
+        with np.errstate(divide="ignore"):
+            return float(np.log2(self.y[np.arange(len(self)), targets]).sum())
+
+
+def _image_feature(params: ModelParams, image_feature) -> np.ndarray:
+    feat = np.asarray(image_feature, dtype=params.dtype)
+    if feat.shape != (params.config.d_i,):
+        raise ValueError(f"image feature has shape {feat.shape}, expected ({params.config.d_i},)")
+    return feat
 
 
 def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
-                 image_feature: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, StepTrace]:
+                 image_feature: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """One timestep: consume a word index, emit the next-word distribution.
 
-    Returns (y, r, step_trace).  The embedding lookup is the one-hot matvec
-    done as a row pick, which is mathematically identical and O(M) cheaper.
+    Returns (y, r).  Decoding runs on it, and it is the per-step reference
+    that ``forward_sentence`` is tested against.  The embedding lookup is
+    the one-hot matvec done as a row pick, which is mathematically
+    identical and O(M) cheaper.
     """
     cfg = params.config
     if not 0 <= word_index < cfg.vocab_size:
@@ -198,11 +212,9 @@ def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
         u = params["U"]
         r = sigmoid(u[:, word_index] + matvec(u[:, cfg.vocab_size:], r_prev) + params["b_r"])
         y = softmax(matvec(params["V"], r) + params["b_out"])
-        return y, r, StepTrace(word_index, y, r)
+        return y, r
 
-    feat = np.asarray(image_feature, dtype=params.dtype)
-    if feat.shape != (cfg.d_i,):
-        raise ValueError(f"image feature has shape {feat.shape}, expected ({cfg.d_i},)")
+    feat = _image_feature(params, image_feature)
     e1 = params["E1"][word_index]
     e2 = relu(matvec(params["E2"], e1) + params["b_e2"])
     r = relu(matvec(params["U_r"], r_prev) + matvec(params["W_in"], e2) + params["b_r"])
@@ -210,36 +222,41 @@ def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
              + matvec(params["V_I"], feat) + params["b_m"])
     m = scaled_tanh(m_pre)
     y = softmax(matvec(params["W_out"], m) + params["b_out"])
-    return y, r, StepTrace(word_index, y, r, e1, e2, m_pre, m)
+    return y, r
 
 
-def multimodal_base(params: ModelParams, inputs: list[int]) -> np.ndarray:
-    """Image-free part of the multimodal pre-activation over a sentence, (T, d_m).
+def sentence_layers(params: ModelParams, inputs) -> tuple[ForwardTrace, np.ndarray | None]:
+    """The layers below the image, over all T input words of a sentence at once.
 
-    ``forward_step``'s embedding and recurrent layers run over all T input
-    words at once; only the carry through ``U_r`` is sequential.  Adding
-    ``V_I . I`` gives ``forward_step``'s ``m_pre`` at each step (mrnn only).
+    Returns a trace with ``inputs``, ``r``, ``e1`` and ``e2`` filled, and the
+    image-free multimodal pre-activation ``e2 . V_w + r . V_r + b_m``, (T, d_m)
+    (None for the baseline): adding ``V_I . I`` gives it for image I.  Only
+    the carry through the recurrent weight is sequential.
     """
     cfg = params.config
-    bad = [w for w in inputs if not 0 <= w < cfg.vocab_size]
-    if bad:
+    inputs = np.asarray(inputs, dtype=np.intp)
+    bad = inputs[(inputs < 0) | (inputs >= cfg.vocab_size)]
+    if bad.size:
         raise IndexError(f"word index {bad[0]} out of range for M={cfg.vocab_size}")
-    e2 = relu(params["E1"][inputs] @ params["E2"].T + params["b_e2"])
-    drive = e2 @ params["W_in"].T + params["b_r"]
-    rec = np.empty((len(inputs), cfg.d_r), dtype=params.dtype)
-    r = np.zeros(cfg.d_r, dtype=params.dtype)
+    if cfg.variant == "baseline":
+        u = params["U"]
+        drive, weight, activation = u[:, inputs].T + params["b_r"], u[:, cfg.vocab_size:], sigmoid
+    else:
+        e1 = params["E1"][inputs]
+        e2 = relu(e1 @ params["E2"].T + params["b_e2"])
+        drive, weight, activation = e2 @ params["W_in"].T + params["b_r"], params["U_r"], relu
+    r = np.zeros((len(inputs) + 1, cfg.d_r), dtype=params.dtype)
     for t, x in enumerate(drive):
-        r = relu(matvec(params["U_r"], r) + x)
-        rec[t] = r
-    return e2 @ params["V_w"].T + rec @ params["V_r"].T + params["b_m"]
+        r[t + 1] = activation(matvec(weight, r[t]) + x)
+    if cfg.variant == "baseline":
+        return ForwardTrace(inputs, r), None
+    m_base = e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
+    return ForwardTrace(inputs, r, e1, e2), m_base
 
 
-def output_logits(params: ModelParams, m_pre: np.ndarray) -> np.ndarray:
-    """Output-layer logits for multimodal pre-activations along the last axis.
-
-    ``forward_step``'s ``y`` is the softmax of these logits.
-    """
-    return scaled_tanh(m_pre) @ params["W_out"].T + params["b_out"]
+def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
+    """Output-layer logits (``y`` before the softmax) for multimodal activations ``m``."""
+    return m @ params["W_out"].T + params["b_out"]
 
 
 def sentence_inputs_targets(tokens: list[int]) -> tuple[list[int], list[int]]:
@@ -255,11 +272,12 @@ def forward_sentence(params: ModelParams, tokens: list[int],
                      image_feature: np.ndarray | None) -> ForwardTrace:
     """Run the unrolled network over a whole sentence; r(0) is the zero vector."""
     inputs, _ = sentence_inputs_targets(tokens)
-    r = np.zeros(params.config.d_r, dtype=params.dtype)
-    trace = ForwardTrace(r0=r)
-    for w in inputs:
-        _, r, step = forward_step(params, w, r, image_feature)
-        trace.steps.append(step)
+    trace, m_base = sentence_layers(params, inputs)
+    if params.config.variant == "baseline":
+        trace.y = softmax(trace.r[1:] @ params["V"].T + params["b_out"])
+    else:
+        trace.m = scaled_tanh(m_base + params["V_I"] @ _image_feature(params, image_feature))
+        trace.y = softmax(output_logits(params, trace.m))
     return trace
 
 
@@ -269,68 +287,46 @@ def backward_sentence(params: ModelParams, trace: ForwardTrace, targets: list[in
 
     The loss is the summed negative natural-log probability of the targets;
     base-2 conversion happens at reporting boundaries.  Gradients flow
-    through the full recurrent chain back to t=1 (untruncated BPTT).
+    through the full recurrent chain back to t=1 (untruncated BPTT).  Each
+    weight gradient is one matrix product over the T steps; only the carry
+    back through the recurrent weight is a loop.
     """
     if len(targets) != len(trace):
         raise ValueError(f"{len(targets)} targets for a trace of length {len(trace)}")
     cfg = params.config
-    grads = params.zeros_like()
-    g = grads.arrays
-    loss = 0.0
+    loss = -LN2 * trace.log2prob(targets)
+    dlogit = trace.y.copy()
+    dlogit[np.arange(len(trace)), targets] -= 1.0
+    r, r_prev = trace.r[1:], trace.r[:-1]
+    if cfg.variant == "baseline":
+        weight = params["U"][:, cfg.vocab_size:]
+        dr, act_grad = dlogit @ params["V"], r * (1.0 - r)
+    else:
+        dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(trace.m)
+        weight, dr, act_grad = params["U_r"], dm_pre @ params["V_r"], r > 0
+    dr_pre = np.empty_like(dr)
+    carry = np.zeros(cfg.d_r, dtype=dr.dtype)
+    for t in range(len(trace) - 1, -1, -1):
+        dr_pre[t] = (dr[t] + carry) * act_grad[t]
+        carry = matvec(weight.T, dr_pre[t])
 
     if cfg.variant == "baseline":
-        u_rec = params["U"][:, cfg.vocab_size:]
-        dr_carry = np.zeros(cfg.d_r, dtype=params.dtype)
-        for t in range(len(trace) - 1, -1, -1):
-            step = trace.steps[t]
-            r_prev = trace.r0 if t == 0 else trace.steps[t - 1].r
-            with np.errstate(divide="ignore"):
-                loss += -float(np.log(step.y[targets[t]]))
-            dlogit = step.y.copy()
-            dlogit[targets[t]] -= 1.0
-            g["V"] += np.outer(dlogit, step.r)
-            g["b_out"] += dlogit
-            dr = matvec(params["V"].T, dlogit) + dr_carry
-            dz = dr * step.r * (1.0 - step.r)
-            g["U"][:, step.input_index] += dz
-            g["U"][:, cfg.vocab_size:] += np.outer(dz, r_prev)
-            g["b_r"] += dz
-            dr_carry = matvec(u_rec.T, dz)
-        return grads, loss
+        g_u = np.zeros_like(params["U"])
+        np.add.at(g_u, (slice(None), trace.inputs), dr_pre.T)
+        g_u[:, cfg.vocab_size:] = dr_pre.T @ r_prev
+        return Gradients(cfg, {"U": g_u, "b_r": dr_pre.sum(axis=0),
+                               "V": dlogit.T @ r, "b_out": dlogit.sum(axis=0)}), loss
 
-    feat = np.asarray(image_feature, dtype=params.dtype)
-    dr_carry = np.zeros(cfg.d_r, dtype=params.dtype)
-    for t in range(len(trace) - 1, -1, -1):
-        step = trace.steps[t]
-        r_prev = trace.r0 if t == 0 else trace.steps[t - 1].r
-        with np.errstate(divide="ignore"):
-            loss += -float(np.log(step.y[targets[t]]))
-
-        dlogit = step.y.copy()
-        dlogit[targets[t]] -= 1.0
-        g["W_out"] += np.outer(dlogit, step.m)
-        g["b_out"] += dlogit
-
-        dm = matvec(params["W_out"].T, dlogit)
-        dm_pre = dm * scaled_tanh_grad_from_output(step.m)
-        g["V_w"] += np.outer(dm_pre, step.e2)
-        g["V_r"] += np.outer(dm_pre, step.r)
-        g["V_I"] += np.outer(dm_pre, feat)
-        g["b_m"] += dm_pre
-
-        dr = matvec(params["V_r"].T, dm_pre) + dr_carry
-        dr_pre = dr * (step.r > 0)
-        g["U_r"] += np.outer(dr_pre, r_prev)
-        g["W_in"] += np.outer(dr_pre, step.e2)
-        g["b_r"] += dr_pre
-        dr_carry = matvec(params["U_r"].T, dr_pre)
-
-        de2 = matvec(params["W_in"].T, dr_pre) + matvec(params["V_w"].T, dm_pre)
-        de2_pre = de2 * (step.e2 > 0)
-        g["E2"] += np.outer(de2_pre, step.e1)
-        g["b_e2"] += de2_pre
-        g["E1"][step.input_index] += matvec(params["E2"].T, de2_pre)
-    return grads, loss
+    de2_pre = (dr_pre @ params["W_in"] + dm_pre @ params["V_w"]) * (trace.e2 > 0)
+    g_e1 = np.zeros_like(params["E1"])
+    np.add.at(g_e1, trace.inputs, de2_pre @ params["E2"])
+    return Gradients(cfg, {
+        "E1": g_e1, "E2": de2_pre.T @ trace.e1, "b_e2": de2_pre.sum(axis=0),
+        "U_r": dr_pre.T @ r_prev, "W_in": dr_pre.T @ trace.e2, "b_r": dr_pre.sum(axis=0),
+        "V_w": dm_pre.T @ trace.e2, "V_r": dm_pre.T @ r,
+        "V_I": np.outer(dm_pre.sum(axis=0), _image_feature(params, image_feature)),
+        "b_m": dm_pre.sum(axis=0), "W_out": dlogit.T @ trace.m, "b_out": dlogit.sum(axis=0),
+    }), loss
 
 
 def nearest_words(params: ModelParams, vocab: Vocabulary, token: str, k: int) -> list[str]:

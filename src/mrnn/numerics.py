@@ -119,11 +119,10 @@ def scaled_tanh_grad_from_output(out: np.ndarray) -> np.ndarray:
     return (SCALED_TANH_GAIN * SCALED_TANH_SLOPE) * (1.0 - t * t)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probability vector from logits, max-subtracted for overflow safety."""
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / e.sum()
+def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Probabilities along ``axis``, max-subtracted for overflow safety."""
+    e = np.exp(logits - np.max(logits, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

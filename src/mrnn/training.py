@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import DatasetSplit, CaptionedExample, ImageFeatureStore
-from .model import (Gradients, ModelConfig, ModelParams, backward_sentence,
+from .model import (LN2, Gradients, ModelConfig, ModelParams, backward_sentence,
                     forward_sentence, sentence_inputs_targets)
 from .numerics import Rng
-
-LN2 = math.log(2.0)
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -48,6 +46,9 @@ class TrainConfig:
             raise ValueError("lambda_reg must be >= 0")
         if self.batch_size < 1 or self.epochs < 0 or self.eval_every < 1:
             raise ValueError("batch_size/epochs/eval_every out of range")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0):
+            raise ValueError("clip_norm must be a positive finite number or None")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be one of {sorted(_DTYPES)}")
 
@@ -86,30 +87,19 @@ def _feature_for(params: ModelParams, features: ImageFeatureStore | None,
     return features.get(example.image_id)
 
 
-def sentence_loss_nat(params: ModelParams, tokens: list[int],
-                      image_feature) -> float:
-    """Summed negative natural-log probability of the framed targets.
-
-    A zero probability yields inf, which the divergence check in the
-    training loop turns into a diagnostic abort.
-    """
-    trace = forward_sentence(params, tokens, image_feature)
-    _, targets = sentence_inputs_targets(tokens)
-    with np.errstate(divide="ignore"):
-        return -sum(float(np.log(step.y[t])) for step, t in zip(trace.steps, targets))
-
-
 def cost(params: ModelParams, examples: list[CaptionedExample],
          features: ImageFeatureStore | None, lambda_reg: float) -> float:
     """Average per-word negative log2 likelihood plus lambda * ||weights||^2."""
     if not examples:
         raise ValueError("cost needs at least one example")
-    nll_nat = 0.0
+    nll_bits = 0.0
     n_words = 0
     for ex in examples:
-        nll_nat += sentence_loss_nat(params, ex.tokens, _feature_for(params, features, ex))
-        n_words += len(ex.tokens) + 1
-    return nll_nat / LN2 / n_words + lambda_reg * params.weight_sq_norm()
+        trace = forward_sentence(params, ex.tokens, _feature_for(params, features, ex))
+        _, targets = sentence_inputs_targets(ex.tokens)
+        nll_bits -= trace.log2prob(targets)
+        n_words += len(targets)
+    return nll_bits / n_words + lambda_reg * params.weight_sq_norm()
 
 
 def sentence_gradient(params: ModelParams, example: CaptionedExample,
@@ -250,11 +240,11 @@ def gradient_check(n_samples: int = 20, seed: int = 0, variant: str = "mrnn",
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = sentence_loss_nat(params, tokens, feat)
+                up = forward_sentence(params, tokens, feat).log2prob(targets)
                 flat[i] = orig - h
-                down = sentence_loss_nat(params, tokens, feat)
+                down = forward_sentence(params, tokens, feat).log2prob(targets)
                 flat[i] = orig
-                num_flat[i] = (up - down) / (2.0 * h)
+                num_flat[i] = -LN2 * (up - down) / (2.0 * h)  # of the nat-log loss
             a = analytic.arrays[name]
             denom = float(np.linalg.norm(a) + np.linalg.norm(numeric))
             err = 0.0 if denom == 0.0 else float(np.linalg.norm(a - numeric)) / denom

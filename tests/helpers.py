@@ -2,15 +2,15 @@
 
 These deliberately avoid the library's own code paths: BLEU by explicit
 n-gram scanning, ranks by pairwise counting, gradients by central
-differences on the forward loss.
+differences on the forward loss or by per-step BPTT.
 """
 
 import math
 
 import numpy as np
 
-from mrnn.model import forward_sentence, sentence_inputs_targets
-from mrnn.numerics import Rng
+from mrnn.model import forward_sentence, forward_step, sentence_inputs_targets
+from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output
 
 
 def oracle_bleu(candidates, references, n_max=3, cumulative=True):
@@ -80,7 +80,7 @@ def numeric_sentence_gradient(params, tokens, image_feature, h=1e-5):
     def loss():
         trace = forward_sentence(params, tokens, image_feature)
         _, targets = sentence_inputs_targets(tokens)
-        return -sum(float(np.log(s.y[t])) for s, t in zip(trace.steps, targets))
+        return -sum(float(np.log(trace.y[t, w])) for t, w in enumerate(targets))
 
     grads = {}
     for name, arr in params.arrays.items():
@@ -96,6 +96,74 @@ def numeric_sentence_gradient(params, tokens, image_feature, h=1e-5):
             num[i] = (up - down) / (2 * h)
         grads[name] = numeric
     return grads
+
+
+def per_step_backward(params, tokens, image_feature):
+    """BPTT one timestep at a time with outer products: the reference backward.
+
+    Steps forward through ``forward_step``, recomputing each step's
+    embedding and multimodal activations, then accumulates every step's
+    gradient contribution from the last step back to the first.  Returns
+    (gradient arrays by name, summed nat-log loss).
+    """
+    cfg = params.config
+    inputs, targets = sentence_inputs_targets(tokens)
+    g = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+    rs, ys = [np.zeros(cfg.d_r)], []
+    for w in inputs:
+        y, r = forward_step(params, w, rs[-1], image_feature)
+        ys.append(y)
+        rs.append(r)
+    loss = -sum(float(np.log(y[t])) for y, t in zip(ys, targets))
+
+    if cfg.variant == "baseline":
+        u_rec = params["U"][:, cfg.vocab_size:]
+        dr_carry = np.zeros(cfg.d_r)
+        for t in range(len(inputs) - 1, -1, -1):
+            y, r, r_prev = ys[t], rs[t + 1], rs[t]
+            dlogit = y.copy()
+            dlogit[targets[t]] -= 1.0
+            g["V"] += np.outer(dlogit, r)
+            g["b_out"] += dlogit
+            dr = params["V"].T @ dlogit + dr_carry
+            dz = dr * r * (1.0 - r)
+            g["U"][:, inputs[t]] += dz
+            g["U"][:, cfg.vocab_size:] += np.outer(dz, r_prev)
+            g["b_r"] += dz
+            dr_carry = u_rec.T @ dz
+        return g, loss
+
+    feat = np.asarray(image_feature, dtype=np.float64)
+    dr_carry = np.zeros(cfg.d_r)
+    for t in range(len(inputs) - 1, -1, -1):
+        y, r, r_prev = ys[t], rs[t + 1], rs[t]
+        e1 = params["E1"][inputs[t]]
+        e2 = relu(params["E2"] @ e1 + params["b_e2"])
+        m = scaled_tanh(params["V_w"] @ e2 + params["V_r"] @ r
+                        + params["V_I"] @ feat + params["b_m"])
+        dlogit = y.copy()
+        dlogit[targets[t]] -= 1.0
+        g["W_out"] += np.outer(dlogit, m)
+        g["b_out"] += dlogit
+
+        dm_pre = (params["W_out"].T @ dlogit) * scaled_tanh_grad_from_output(m)
+        g["V_w"] += np.outer(dm_pre, e2)
+        g["V_r"] += np.outer(dm_pre, r)
+        g["V_I"] += np.outer(dm_pre, feat)
+        g["b_m"] += dm_pre
+
+        dr = params["V_r"].T @ dm_pre + dr_carry
+        dr_pre = dr * (r > 0)
+        g["U_r"] += np.outer(dr_pre, r_prev)
+        g["W_in"] += np.outer(dr_pre, e2)
+        g["b_r"] += dr_pre
+        dr_carry = params["U_r"].T @ dr_pre
+
+        de2_pre = (params["W_in"].T @ dr_pre + params["V_w"].T @ dm_pre) * (e2 > 0)
+        g["E2"] += np.outer(de2_pre, e1)
+        g["b_e2"] += de2_pre
+        g["E1"][inputs[t]] += params["E2"].T @ de2_pre
+    return g, loss
 
 
 def randomize_biases(params, seed):

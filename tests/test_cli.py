@@ -165,6 +165,19 @@ class TestTrain:
                outs[1]["inputs"]["captions"]["sha256"]
 
 
+    @pytest.mark.parametrize("clip", ["-1", "0"])
+    def test_bad_clip_norm_is_one_error_line(self, workspace, tmp_path, clip):
+        data = workspace["data"]
+        proc = run_cli("train", "--captions", str(data / "captions.tsv"),
+                       "--features", str(data / "features.mrnf"),
+                       "--split", str(data / "split.tsv"), "--out", str(tmp_path / "o"),
+                       "--epochs", "1", "--clip-norm", clip, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "clip_norm" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
 class TestGenerate:
     def test_prints_caption_per_id(self, workspace):
         proc = run_cli("generate", "--checkpoint", str(workspace["run"] / "checkpoint.mrnm"),
@@ -364,6 +377,39 @@ class TestGradcheckCli:
         a = run_cli("gradcheck", "--samples", "1", "--seed", "3").stdout
         b = run_cli("gradcheck", "--samples", "1", "--seed", "3").stdout
         assert a == b
+
+
+class TestVocabularyMismatch:
+    """A vocabulary whose size differs from the checkpoint's is refused."""
+
+    @pytest.fixture(params=["one_extra_word", "five_lines"])
+    def bad_vocab(self, request, workspace, tmp_path):
+        lines = (workspace["run"] / "vocab.txt").read_text().splitlines()
+        lines = lines + ["zzextra"] if request.param == "one_extra_word" else lines[:5]
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["generate", "nearest", "eval ppl", "eval retrieval"])
+    def test_one_error_line(self, workspace, bad_vocab, command):
+        checkpoint = str(workspace["run"] / "checkpoint.mrnm")
+        if command == "generate":
+            args = ["generate", "--checkpoint", checkpoint, "--vocab", str(bad_vocab),
+                    "--features", str(workspace["data"] / "features.mrnf"),
+                    "--image-id", "img0000"]
+        elif command == "nearest":
+            args = ["nearest", "--checkpoint", checkpoint, "--vocab", str(bad_vocab),
+                    "--token", "the"]
+        else:
+            args = [*command.split(), *eval_args(workspace, "--subset", "val")]
+            args[args.index("--vocab") + 1] = str(bad_vocab)
+            if command == "eval retrieval":
+                args += ["--direction", "t2i"]
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "words" in proc.stderr
 
 
 class TestNearest:

@@ -3,13 +3,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradient,
-                     randomize_biases)
+                     per_step_backward, randomize_biases)
 from mrnn.corpus import build_vocabulary
 from mrnn.model import (ModelConfig, ModelParams, backward_sentence,
                         forward_sentence, forward_step, load_checkpoint,
-                        multimodal_base, nearest_words, output_logits,
-                        save_checkpoint, sentence_inputs_targets)
-from mrnn.numerics import Rng, softmax
+                        nearest_words, output_logits, save_checkpoint,
+                        sentence_inputs_targets, sentence_layers)
+from mrnn.numerics import Rng, scaled_tanh, softmax
 
 
 def tiny_config(variant="mrnn"):
@@ -48,16 +48,15 @@ class TestForward:
         for variant in ("mrnn", "baseline"):
             params = ModelParams.zeros(tiny_config(variant))
             trace = forward_sentence(params, [3, 4, 5], FEAT)
-            for step in trace.steps:
-                assert_allclose(step.y, np.full(11, 1 / 11), atol=1e-15)
+            assert_allclose(trace.y, np.full((4, 11), 1 / 11), atol=1e-15)
 
     def test_zero_recurrent_state_kills_recurrent_term(self):
         params_a = tiny_params(seed=1)
         params_b = params_a.copy()
         params_b.arrays["U_r"] = Rng(99).uniform(-1, 1, 36).reshape(6, 6)
         r0 = np.zeros(6)
-        ya, ra, _ = forward_step(params_a, 4, r0, FEAT)
-        yb, rb, _ = forward_step(params_b, 4, r0, FEAT)
+        ya, ra = forward_step(params_a, 4, r0, FEAT)
+        yb, rb = forward_step(params_b, 4, r0, FEAT)
         assert_array_equal(ra, rb)
         assert_array_equal(ya, yb)
 
@@ -77,14 +76,12 @@ class TestForward:
     def test_trace_probabilities_normalized(self):
         trace = forward_sentence(tiny_params(seed=2), [1, 9, 2, 4], FEAT)
         assert len(trace) == 5
-        for step in trace.steps:
-            assert abs(step.y.sum() - 1.0) < 1e-6
+        assert np.all(np.abs(trace.y.sum(axis=1) - 1.0) < 1e-6)
 
     def test_deterministic(self):
         a = forward_sentence(tiny_params(seed=3), [5, 6], FEAT)
         b = forward_sentence(tiny_params(seed=3), [5, 6], FEAT)
-        for sa, sb in zip(a.steps, b.steps):
-            assert_array_equal(sa.y, sb.y)
+        assert_array_equal(a.y, b.y)
 
     def test_word_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -100,29 +97,42 @@ class TestForward:
         feat_b = Rng(55).uniform(-2, 2, 3)
         ya = forward_sentence(params, [2, 3], FEAT)
         yb = forward_sentence(params, [2, 3], feat_b)
-        for sa, sb in zip(ya.steps, yb.steps):
-            assert_array_equal(sa.y, sb.y)
+        assert_array_equal(ya.y, yb.y)
 
     def test_baseline_never_sees_the_image(self):
         params = tiny_params(variant="baseline")
         ya = forward_sentence(params, [2, 3], None)
         yb = forward_sentence(params, [2, 3], FEAT)
-        for sa, sb in zip(ya.steps, yb.steps):
-            assert_array_equal(sa.y, sb.y)
+        assert_array_equal(ya.y, yb.y)
+
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    @pytest.mark.parametrize("tokens", [[], [1, 9, 2, 4], [3, 3, 7, 3]],
+                             ids=["T=1", "distinct", "repeated"])
+    def test_trace_rows_match_forward_step(self, variant, tokens):
+        params = randomize_biases(tiny_params(seed=5, variant=variant), 5)
+        inputs, _ = sentence_inputs_targets(tokens)
+        trace = forward_sentence(params, tokens, FEAT)
+        assert_array_equal(trace.inputs, inputs)
+        assert_array_equal(trace.r[0], np.zeros(6))
+        r = np.zeros(6)
+        for t, w in enumerate(inputs):
+            y, r = forward_step(params, w, r, FEAT)
+            assert_allclose(trace.y[t], y, rtol=0, atol=1e-13)
+            assert_allclose(trace.r[t + 1], r, rtol=0, atol=1e-13)
 
     def test_batched_layers_match_forward_step(self):
         params = randomize_biases(tiny_params(seed=5), 5)
         inputs, _ = sentence_inputs_targets([1, 9, 2, 4])
-        m_pre = multimodal_base(params, inputs) + params["V_I"] @ FEAT
-        trace = forward_sentence(params, [1, 9, 2, 4], FEAT)
-        for t, step in enumerate(trace.steps):
-            assert_allclose(m_pre[t], step.m_pre, rtol=0, atol=1e-13)
-            assert_allclose(softmax(output_logits(params, m_pre[t])), step.y,
-                            rtol=0, atol=1e-13)
+        _, m_base = sentence_layers(params, inputs)
+        m = scaled_tanh(m_base + params["V_I"] @ FEAT)
+        r = np.zeros(6)
+        for t, w in enumerate(inputs):
+            y, r = forward_step(params, w, r, FEAT)
+            assert_allclose(softmax(output_logits(params, m[t])), y, rtol=0, atol=1e-13)
 
     def test_batched_word_index_out_of_range(self):
         with pytest.raises(IndexError):
-            multimodal_base(tiny_params(), [0, 11])
+            sentence_layers(tiny_params(), [0, 11])
 
 
 class TestBackward:
@@ -152,6 +162,19 @@ class TestBackward:
         numeric = numeric_sentence_gradient(params, tokens, feat)
         for name in params.names():
             assert block_rel_err(analytic[name], numeric[name]) < 1e-6, name
+
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    @pytest.mark.parametrize("tokens", [[], [2, 7, 4, 9, 1], [5, 5, 2, 5, 5]],
+                             ids=["T=1", "distinct", "repeated"])
+    def test_matches_per_step_reference(self, variant, tokens):
+        params = randomize_biases(tiny_params(seed=9, variant=variant), 9)
+        trace = forward_sentence(params, tokens, FEAT)
+        _, targets = sentence_inputs_targets(tokens)
+        grads, loss = backward_sentence(params, trace, targets, FEAT)
+        ref, ref_loss = per_step_backward(params, tokens, FEAT)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name in params.names():
+            assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
 
     def test_gradient_additivity(self):
         # two backward passes on the same sentence sum to twice one pass

@@ -98,6 +98,15 @@ class TestSoftmax:
         assert y[0] == pytest.approx(1.0)
 
 
+    def test_axis_normalizes_each_row(self):
+        x = np.random.default_rng(5).normal(scale=20.0, size=(4, 7))
+        x[2] += 500.0  # rows on very different scales
+        expected = np.array([softmax(row) for row in x])
+        assert_allclose(softmax(x), expected, rtol=0, atol=1e-15)
+        assert_allclose(softmax(x, axis=0), np.array([softmax(col) for col in x.T]).T,
+                        rtol=0, atol=1e-15)
+
+
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self):
         rng = np.random.default_rng(1)

@@ -160,6 +160,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(model=cfg, lambda_reg=-1.0)
 
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan"), float("inf")])
+    def test_clip_norm_must_be_positive_and_finite(self, clip):
+        cfg, _, _ = uniform_dataset()
+        with pytest.raises(ValueError, match="clip_norm"):
+            TrainConfig(model=cfg, clip_norm=clip)
+
     def test_float32_speed_mode(self):
         cfg, split, store = uniform_dataset(n=2)
         params, _ = train(self.small_config(cfg, epochs=2, precision="float32"),
