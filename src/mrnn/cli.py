@@ -12,12 +12,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .corpus import (ImageFeatureStore, SynthSpec, build_dataset,
+from .corpus import (MIN_COUNT, ImageFeatureStore, SynthSpec, build_dataset,
                      build_vocabulary, generate_synthetic_corpus, load_captions,
                      load_features, load_split_map, load_vocab, save_captions,
                      save_features, save_features_tsv, save_split_map, save_vocab)
@@ -25,28 +26,18 @@ from .evaluation import (corpus_perplexity, generation_bleu, recall_curve,
                          retrieval_eval, shortlist)
 from .inference import (GenerationConfig, generate, log2prob_matrix,
                         normalized_log2prob_matrix)
-from .model import (ModelConfig, backward_sentence, load_checkpoint,
+from .model import (VARIANTS, ModelConfig, backward_sentence, load_checkpoint,
                     nearest_words, save_checkpoint)
 from .numerics import Rng
-from .training import TrainConfig, TrainingDiverged, gradient_check, train
+from .training import (_DTYPES, TrainConfig, TrainingDiverged, gradient_check,
+                       train)
 
-# Settings understood by the config file and overridable by flags.
-TRAIN_SETTINGS = {
-    "variant": (str, "mrnn"),
-    "d_e1": (int, 128),
-    "d_e2": (int, 128),
-    "d_r": (int, 256),
-    "d_m": (int, 512),
-    "learning_rate": (float, 0.05),
-    "lambda_reg": (float, 1e-5),
-    "batch_size": (int, 16),
-    "epochs": (int, 10),
-    "clip_norm": (str, "5.0"),  # a float or the word "none"
-    "seed": (int, 0),
-    "eval_every": (int, 1),
-    "min_count": (int, 1),
-    "precision": (str, "float64"),
-}
+# The `mrnn train` settings, each a --config key and a flag: the defaulted
+# fields of ModelConfig and TrainConfig, plus the vocabulary cutoff.
+TRAIN_DEFAULTS = {**{f.name: f.default for config in (ModelConfig, TrainConfig)
+                     for f in fields(config) if f.default is not MISSING},
+                  "min_count": MIN_COUNT}
+TRAIN_CHOICES = {"variant": VARIANTS, "precision": tuple(_DTYPES)}
 
 
 def sha256_file(path) -> str:
@@ -84,26 +75,32 @@ def load_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in TRAIN_SETTINGS:
+        if key not in TRAIN_DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
         values[key] = raw
     return values
 
 
+def parse_setting(name: str, raw: str):
+    """A config-file or flag string as the type of the setting's default.
+
+    ``clip_norm``, the one setting that may be None, also takes ``none``.
+    """
+    if name == "clip_norm" and raw.lower() == "none":
+        return None
+    typ = type(TRAIN_DEFAULTS[name])
+    try:
+        return typ(raw)
+    except ValueError:
+        raise ValueError(f"{name} = {raw!r} is not a valid {typ.__name__}") from None
+
+
 def resolve_settings(args) -> dict:
     """Defaults, then config file, then explicit command-line flags."""
-    settings = {k: default for k, (_, default) in TRAIN_SETTINGS.items()}
-    if args.config:
-        settings.update(load_config_file(args.config))
-    for key, (typ, _) in TRAIN_SETTINGS.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            settings[key] = flag_val
-    return {k: TRAIN_SETTINGS[k][0](v) for k, v in settings.items()}
-
-
-def parse_clip(raw: str) -> float | None:
-    return None if str(raw).lower() == "none" else float(raw)
+    raw = load_config_file(args.config) if args.config else {}
+    raw.update((name, getattr(args, name)) for name in TRAIN_DEFAULTS
+               if getattr(args, name) is not None)
+    return {**TRAIN_DEFAULTS, **{name: parse_setting(name, v) for name, v in raw.items()}}
 
 
 def require_files(*paths) -> None:
@@ -112,12 +109,18 @@ def require_files(*paths) -> None:
             raise FileNotFoundError(f"missing file: {path}")
 
 
+def require_counts(args, *flags) -> None:
+    """Count flags, where given, must be at least 1."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = SynthSpec(n_topics=args.topics, captions_per_image=args.captions_per_image,
                      noise_dim=args.noise_dim, train_frac=args.train_frac,
                      val_frac=args.val_frac)
@@ -132,6 +135,8 @@ def cmd_synth(args) -> int:
         for ex in bucket:
             split_map[ex.image_id] = label
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_captions(pairs, out / "captions.tsv")
     if args.feature_format == "tsv":
         feature_name = "features.tsv"
@@ -162,20 +167,8 @@ def cmd_train(args) -> int:
     vocab = build_vocabulary(train_texts, min_count=settings["min_count"])
     dataset = build_dataset(pairs, split_map, vocab)
 
-    model_cfg = ModelConfig(vocab_size=vocab.size, d_i=store.feature_dim,
-                            variant=settings["variant"], d_e1=settings["d_e1"],
-                            d_e2=settings["d_e2"], d_r=settings["d_r"],
-                            d_m=settings["d_m"])
-    train_cfg = TrainConfig(model=model_cfg,
-                            learning_rate=settings["learning_rate"],
-                            lambda_reg=settings["lambda_reg"],
-                            batch_size=settings["batch_size"],
-                            epochs=settings["epochs"],
-                            clip_norm=parse_clip(settings["clip_norm"]),
-                            seed=settings["seed"],
-                            eval_every=settings["eval_every"],
-                            precision=settings["precision"])
-    params, report = train(train_cfg, dataset, store)
+    params, report = train(TrainConfig.from_settings(settings, vocab.size, store.feature_dim),
+                           dataset, store)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,7 +178,9 @@ def cmd_train(args) -> int:
     inputs = {"captions": args.captions, "features": args.features, "split": args.split}
     if args.config:
         inputs["config"] = args.config
-    write_manifest(out, "train", settings, inputs,
+    # clip_norm is recorded as a string: a float or "none"
+    write_manifest(out, "train", {**settings, "clip_norm": str(settings["clip_norm"]).lower()},
+                   inputs,
                    {"checkpoint": "checkpoint.mrnm", "vocab": "vocab.txt",
                     "report": "train_report.csv"})
     last = report.rows[-1] if report.rows else None
@@ -215,9 +210,7 @@ def cmd_generate(args) -> int:
     gcfg = GenerationConfig(mode=args.mode, max_length=args.max_len,
                             prefix=prefix, seed=args.seed)
     for image_id in args.image_id:
-        feat = store.get(image_id)  # unknown id -> error path
-        tokens = generate(params, vocab, None if params.config.variant == "baseline"
-                          else feat, gcfg)
+        tokens = generate(params, vocab, store.get(image_id), gcfg)
         print(f"{image_id}\t{' '.join(tokens)}")
     return 0
 
@@ -299,6 +292,7 @@ def _norm_feature_set(dataset, store, k: int, seed: int) -> np.ndarray:
 
 def _retrieval_scores(args, params, subset, store, dataset):
     """Score matrix, groundtruth and candidate ids for one direction."""
+    require_counts(args, "--norm-images", "--shortlist")
     image_ids = sorted({ex.image_id for ex in subset})
     tokens = [ex.tokens for ex in subset]
     if args.direction == "t2i":
@@ -331,8 +325,6 @@ def _retrieval_scores(args, params, subset, store, dataset):
 
 def cmd_eval_retrieval(args) -> int:
     params, _, subset, store, dataset = _load_eval_inputs(args)
-    if params.config.variant == "baseline":
-        raise ValueError("retrieval needs image conditioning; train an mrnn variant")
     scores, gt, cand_ids = _retrieval_scores(args, params, subset, store, dataset)
     metrics = retrieval_eval(scores, gt, ks=(1, 5, 10), candidate_ids=cand_ids)
     print(f"{args.direction} R@1 {metrics.r_at[1]:.1f} R@5 {metrics.r_at[5]:.1f} "
@@ -349,8 +341,6 @@ def cmd_eval_retrieval(args) -> int:
 
 def cmd_eval_curve(args) -> int:
     params, _, subset, store, dataset = _load_eval_inputs(args)
-    if params.config.variant == "baseline":
-        raise ValueError("retrieval needs image conditioning; train an mrnn variant")
     fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     scores, gt, cand_ids = _retrieval_scores(args, params, subset, store, dataset)
     curve = recall_curve(scores, gt, fractions, candidate_ids=cand_ids)
@@ -365,6 +355,7 @@ def cmd_eval_curve(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    require_counts(args, "--samples")
     grad_fn = None
     if args.corrupt:
         def grad_fn(params, trace, targets, feat, _block=args.corrupt):
@@ -384,6 +375,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_nearest(args) -> int:
+    require_counts(args, "-k")
     params, vocab = _load_model(args)
     for token in nearest_words(params, vocab, args.token, args.k):
         print(token)
@@ -407,7 +399,7 @@ def _add_eval_common(sub):
 def _add_retrieval_common(sub):
     sub.add_argument("--direction", required=True, choices=["i2t", "t2i"])
     sub.add_argument("--norm-images", type=int, default=100,
-                     help="images sampled for the sentence-probability marginal")
+                     help="images sampled for the i2t sentence-probability marginal")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored: scoring runs one pass per sentence "
@@ -424,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("synth", help="write a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--images", type=int, required=True)
-    p.add_argument("--topics", type=int, default=4)
-    p.add_argument("--captions-per-image", type=int, default=2)
-    p.add_argument("--noise-dim", type=int, default=4)
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--val-frac", type=float, default=0.1)
+    p.add_argument("--topics", type=int, default=SynthSpec.n_topics)
+    p.add_argument("--captions-per-image", type=int, default=SynthSpec.captions_per_image)
+    p.add_argument("--noise-dim", type=int, default=SynthSpec.noise_dim)
+    p.add_argument("--train-frac", type=float, default=SynthSpec.train_frac)
+    p.add_argument("--val-frac", type=float, default=SynthSpec.val_frac)
     p.add_argument("--feature-format", choices=["bin", "tsv"], default="bin")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
@@ -438,22 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="key = value settings file")
-    p.add_argument("--variant", choices=["mrnn", "baseline"], default=None)
-    p.add_argument("--d-e1", dest="d_e1", type=int, default=None)
-    p.add_argument("--d-e2", dest="d_e2", type=int, default=None)
-    p.add_argument("--d-r", dest="d_r", type=int, default=None)
-    p.add_argument("--d-m", dest="d_m", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--lambda-reg", dest="lambda_reg", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--clip-norm", dest="clip_norm", default=None,
-                   help="positive float or 'none'")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=None)
-    p.add_argument("--min-count", dest="min_count", type=int, default=None)
-    p.add_argument("--precision", choices=["float64", "float32"], default=None)
+    p.add_argument("--config", default=None,
+                   help="key = value settings file; the keys are the flag names below "
+                        "with '_' for '-'")
+    for name, default in TRAIN_DEFAULTS.items():
+        note = "; 'none' turns clipping off" if name == "clip_norm" else ""
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                       choices=TRAIN_CHOICES.get(name), help=f"default {default}{note}")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("generate", help="caption images from a checkpoint")
@@ -463,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-id", action="append", required=True)
     p.add_argument("--mode", choices=["greedy", "sample"], default="greedy")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=50)
+    p.add_argument("--max-len", type=int, default=GenerationConfig.max_length)
     p.add_argument("--prefix", default=None, help="reference words to seed generation")
     p.set_defaults(func=cmd_generate)
 
@@ -480,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report order-n precision instead of cumulative B-n")
     e.add_argument("--no-length-match", action="store_true",
                    help="stop at the end sign instead of matching reference length")
-    e.add_argument("--max-len", type=int, default=50)
+    e.add_argument("--max-len", type=int, default=GenerationConfig.max_length)
     e.set_defaults(func=cmd_eval_bleu)
 
     e = evals.add_parser("retrieval", help="R@K and median rank")

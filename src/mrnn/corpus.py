@@ -28,6 +28,8 @@ UNK = "##UNK##"
 START_INDEX, END_INDEX, UNK_INDEX = 0, 1, 2
 RESERVED = (START, END, UNK)
 
+MIN_COUNT = 1  # default vocabulary cutoff: keep every word seen in training
+
 FEATURE_MAGIC = b"MRNF"
 FEATURE_VERSION = 1
 
@@ -80,7 +82,7 @@ class Vocabulary:
         return [self.index_to_token[i] for i in indices]
 
 
-def build_vocabulary(captions: list[str], min_count: int = 1) -> Vocabulary:
+def build_vocabulary(captions: list[str], min_count: int = MIN_COUNT) -> Vocabulary:
     """Vocabulary over all tokens with frequency >= min_count.
 
     Kept tokens are ordered by descending frequency, ties broken
@@ -242,6 +244,8 @@ def _load_features_tsv(path) -> ImageFeatureStore:
         elif len(vec) != store.feature_dim:
             raise FeatureFileError(
                 f"{path}:{lineno}: dimension {len(vec)} != {store.feature_dim}")
+        elif parts[0] in store:
+            raise FeatureFileError(f"{path}:{lineno}: duplicate image id {parts[0]!r}")
         store.add(parts[0], vec)
     if store is None:
         raise FeatureFileError(f"{path}: no feature rows")
@@ -354,7 +358,16 @@ class SynthSpec:
     feature_noise: float = 0.1
     train_frac: float = 0.8
     val_frac: float = 0.1
-    min_count: int = 1
+    min_count: int = MIN_COUNT
+
+    def __post_init__(self):
+        if min(self.n_topics, self.captions_per_image, self.min_count) < 1:
+            raise ValueError("n_topics, captions_per_image and min_count must be >= 1")
+        if not (self.noise_dim >= 0 and self.feature_noise >= 0):
+            raise ValueError("noise_dim and feature_noise must be >= 0")
+        if not (0 <= self.train_frac <= 1 and 0 <= self.val_frac <= 1
+                and self.train_frac + self.val_frac <= 1 + 1e-9):  # slack for float rounding
+            raise ValueError("train_frac and val_frac must lie in [0, 1] and sum to at most 1")
 
 
 def generate_synthetic_corpus(rng: Rng, n_images: int, spec: SynthSpec = SynthSpec()

@@ -13,7 +13,7 @@ import inspect
 
 import numpy as np
 
-from .corpus import (CaptionedExample, DatasetSplit, ImageFeatureStore,
+from .corpus import (MIN_COUNT, CaptionedExample, DatasetSplit, ImageFeatureStore,
                      build_vocabulary)
 from .evaluation import corpus_perplexity
 from .inference import GenerationConfig, generate
@@ -32,24 +32,17 @@ class MRNNCaptioner:
     perplexity (higher is better).
     """
 
-    def __init__(self, variant="mrnn", d_e1=128, d_e2=128, d_r=256, d_m=512,
-                 learning_rate=0.05, lambda_reg=1e-5, batch_size=16, epochs=10,
-                 clip_norm=5.0, seed=0, min_count=1, max_length=50,
-                 precision="float64"):
-        self.variant = variant
-        self.d_e1 = d_e1
-        self.d_e2 = d_e2
-        self.d_r = d_r
-        self.d_m = d_m
-        self.learning_rate = learning_rate
-        self.lambda_reg = lambda_reg
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.clip_norm = clip_norm
-        self.seed = seed
-        self.min_count = min_count
-        self.max_length = max_length
-        self.precision = precision
+    # The defaults are the config fields' own; scikit-learn reads this signature.
+    def __init__(self, variant=ModelConfig.variant, d_e1=ModelConfig.d_e1,
+                 d_e2=ModelConfig.d_e2, d_r=ModelConfig.d_r, d_m=ModelConfig.d_m,
+                 learning_rate=TrainConfig.learning_rate, lambda_reg=TrainConfig.lambda_reg,
+                 batch_size=TrainConfig.batch_size, epochs=TrainConfig.epochs,
+                 clip_norm=TrainConfig.clip_norm, seed=TrainConfig.seed,
+                 min_count=MIN_COUNT, max_length=GenerationConfig.max_length,
+                 precision=TrainConfig.precision):
+        given = locals()
+        for name in self._param_names():
+            setattr(self, name, given[name])
 
     @classmethod
     def _param_names(cls) -> list[str]:
@@ -83,13 +76,7 @@ class MRNNCaptioner:
         captions = check_captions(y, len(X))
         self.vocab_ = build_vocabulary(captions, min_count=self.min_count)
         split, store = self._dataset(X, captions, self.vocab_)
-        config = TrainConfig(
-            model=ModelConfig(vocab_size=self.vocab_.size, d_i=X.shape[1],
-                              variant=self.variant, d_e1=self.d_e1, d_e2=self.d_e2,
-                              d_r=self.d_r, d_m=self.d_m),
-            learning_rate=self.learning_rate, lambda_reg=self.lambda_reg,
-            batch_size=self.batch_size, epochs=self.epochs,
-            clip_norm=self.clip_norm, seed=self.seed, precision=self.precision)
+        config = TrainConfig.from_settings(self.get_params(), self.vocab_.size, X.shape[1])
         self.params_, self.report_ = train(config, split, store)
         return self
 

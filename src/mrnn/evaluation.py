@@ -178,7 +178,8 @@ def shortlist(query_ids: list[str], store: ImageFeatureStore,
 
 def generation_bleu(params: ModelParams, vocab: Vocabulary,
                     examples: list[CaptionedExample], features: ImageFeatureStore,
-                    length_matched: bool = True, max_length: int = 50,
+                    length_matched: bool = True,
+                    max_length: int = GenerationConfig.max_length,
                     cumulative: bool = True) -> tuple[BleuScore, dict[str, list[str]]]:
     """Greedy-caption every image and score against its reference captions.
 

@@ -405,6 +405,8 @@ def load_checkpoint(path) -> ModelParams:
             count = int(np.prod(shape))
             buf = read(fh, 8 * count, name)
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(dtype)
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{path}: array {name} has NaN or infinite entries")
         if fh.read(1):
             raise ValueError(f"{path} has trailing bytes after the last array")
     return ModelParams(cfg, arrays)

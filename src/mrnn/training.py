@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +55,15 @@ class TrainConfig:
     @property
     def dtype(self):
         return _DTYPES[self.precision]
+
+    @classmethod
+    def from_settings(cls, settings: dict, vocab_size: int, d_i: int) -> "TrainConfig":
+        """Both configs from ``{field name: value}`` settings; other keys are
+        ignored, and fields the settings leave out keep their defaults."""
+        def pick(config_cls):
+            return {f.name: settings[f.name] for f in fields(config_cls) if f.name in settings}
+        return cls(model=ModelConfig(vocab_size=vocab_size, d_i=d_i, **pick(ModelConfig)),
+                   **pick(cls))
 
 
 @dataclass

@@ -6,6 +6,7 @@ differences on the forward loss or by per-step BPTT.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -181,10 +182,12 @@ def block_rel_err(analytic, numeric):
 
 
 # Header layout: 4-byte magic, u32 version, u8 variant code, u8 dtype code.
+# The file ends with the payload of the last array (b_out), little-endian f8.
 CORRUPTIONS = {
     "variant": lambda blob: blob[:8] + bytes([7]) + blob[9:],
     "dtype": lambda blob: blob[:9] + bytes([9]) + blob[10:],
     "trailing": lambda blob: blob + b"\x00",
+    "nan": lambda blob: blob[:-8] + struct.pack("<d", math.nan),
 }
 
 

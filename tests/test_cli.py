@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -8,11 +10,14 @@ import numpy as np
 import pytest
 
 from helpers import corrupt_checkpoint, randomize_biases
-from mrnn.cli import _retrieval_scores
-from mrnn.corpus import SynthSpec, generate_synthetic_corpus
+from mrnn import cli
+from mrnn.cli import _retrieval_scores, build_parser, resolve_settings
+from mrnn.corpus import SynthSpec, generate_synthetic_corpus, load_vocab
+from mrnn.estimator import MRNNCaptioner
 from mrnn.inference import sentence_log2prob
-from mrnn.model import ModelConfig, ModelParams
+from mrnn.model import ModelConfig, ModelParams, save_checkpoint
 from mrnn.numerics import Rng
+from mrnn.training import TrainConfig, train
 
 
 def run_cli(*args, check=True):
@@ -21,6 +26,13 @@ def run_cli(*args, check=True):
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
     return proc
+
+
+def run_main(capsys, *args):
+    """``cli.main`` in this process: (exit code, stdout, stderr)."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +79,17 @@ class TestSynth:
         run_cli("synth", "--out", str(tmp_path), "--images", "4",
                 "--feature-format", "tsv", "--seed", "0")
         assert (tmp_path / "features.tsv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--topics", "0"), ("--topics", "-2"), ("--captions-per-image", "0"),
+        ("--noise-dim", "-1"), ("--train-frac", "1.5"), ("--val-frac", "0.5"),
+    ])
+    def test_bad_spec_is_one_error_line(self, tmp_path, capsys, flag, value):
+        code, _, err = run_main(capsys, "synth", "--out", str(tmp_path / "o"),
+                                "--images", "6", flag, value)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -309,7 +332,7 @@ class TestEval:
                        "--subset", "train", check=False)
         assert proc.returncode != 0  # no split file: everything lands in test
 
-    @pytest.mark.parametrize("kind", ["variant", "dtype", "trailing"])
+    @pytest.mark.parametrize("kind", ["variant", "dtype", "trailing", "nan"])
     def test_corrupt_checkpoint_is_one_error_line(self, workspace, tmp_path, kind):
         good = tmp_path / "m.mrnm"
         good.write_bytes((workspace["run"] / "checkpoint.mrnm").read_bytes())
@@ -319,6 +342,168 @@ class TestEval:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def baseline_run(workspace, tmp_path_factory):
+    """An untrained baseline checkpoint over the workspace vocabulary."""
+    run = tmp_path_factory.mktemp("baseline")
+    shutil.copy(workspace["run"] / "vocab.txt", run / "vocab.txt")
+    cfg = ModelConfig(vocab_size=load_vocab(run / "vocab.txt").size, d_i=8,
+                      variant="baseline", d_r=8)
+    save_checkpoint(ModelParams.initialize(cfg, Rng(4)), run / "checkpoint.mrnm")
+    return {"data": workspace["data"], "run": run}
+
+
+class TestBaselineVariant:
+    """The engine, not the CLI, decides what the image-free baseline can do."""
+
+    def test_generate_ignores_the_image(self, baseline_run, capsys):
+        code, out, _ = run_main(
+            capsys, "generate", "--checkpoint", str(baseline_run["run"] / "checkpoint.mrnm"),
+            "--vocab", str(baseline_run["run"] / "vocab.txt"),
+            "--features", str(baseline_run["data"] / "features.mrnf"),
+            "--image-id", "img0000", "--image-id", "img0005")
+        captions = [line.split("\t", 1)[1] for line in out.splitlines()]
+        assert code == 0 and len(captions) == 2 and captions[0] == captions[1]
+
+    @pytest.mark.parametrize("command", ["retrieval", "curve"])
+    @pytest.mark.parametrize("direction", ["t2i", "i2t"])
+    def test_retrieval_is_one_error_line(self, baseline_run, capsys, command, direction):
+        code, out, err = run_main(capsys, "eval", command,
+                                  *eval_args(baseline_run, "--subset", "all"),
+                                  "--direction", direction)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "mrnn variant" in err
+
+
+class TestCountFlags:
+    """A count below 1 is refused, not read as "off" or as a slice from the end."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval retrieval", "--shortlist", "0"),
+        ("eval retrieval", "--shortlist", "-3"),
+        ("eval retrieval", "--norm-images", "-1"),
+        ("eval curve", "--norm-images", "0"),
+        ("nearest", "-k", "-1"),
+        ("nearest", "-k", "0"),
+        ("gradcheck", "--samples", "0"),
+    ])
+    def test_below_one_is_one_error_line(self, workspace, capsys, command, flag, value):
+        if command == "nearest":
+            args = ["nearest", "--checkpoint", str(workspace["run"] / "checkpoint.mrnm"),
+                    "--vocab", str(workspace["run"] / "vocab.txt"), "--token", "the"]
+        elif command == "gradcheck":
+            args = ["gradcheck"]
+        else:
+            args = [*command.split(), *eval_args(workspace, "--subset", "all"),
+                    "--direction", "i2t"]
+        code, out, err = run_main(capsys, *args, flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+# Every defaulted field of the two configs is a training setting.
+SETTING_FIELDS = [f for config in (ModelConfig, TrainConfig) for f in dataclasses.fields(config)
+                  if f.default is not dataclasses.MISSING]
+
+
+def other_value(field) -> str:
+    """A valid value other than the field's default, spelled as a user would."""
+    if isinstance(field.default, str):
+        return {"variant": "baseline", "precision": "float32"}[field.name]
+    return str(field.default + 1 if isinstance(field.default, int) else field.default / 2)
+
+
+class TestTrainSettings:
+    """Drift guard: the config fields are the flags, the --config keys and the
+    estimator's parameters, with the fields' defaults."""
+
+    FILES = ["--captions", "c.tsv", "--features", "f.mrnf", "--split", "s.tsv", "--out", "o"]
+
+    def resolve(self, *extra):
+        return resolve_settings(build_parser().parse_args(["train", *self.FILES, *extra]))
+
+    def configured(self, settings, field):
+        config = TrainConfig.from_settings(settings, vocab_size=20, d_i=3)
+        owner = config.model if field in dataclasses.fields(ModelConfig) else config
+        return getattr(owner, field.name)
+
+    def test_flags_and_choices_unchanged(self):
+        train_parser = build_parser()._subparsers._group_actions[0].choices["train"]
+        flags = {a.option_strings[-1]: a.choices for a in train_parser._actions}
+        assert set(flags) == {
+            "--help", "--captions", "--features", "--split", "--out", "--config",
+            "--variant", "--d-e1", "--d-e2", "--d-r", "--d-m", "--learning-rate",
+            "--lambda-reg", "--batch-size", "--epochs", "--clip-norm", "--seed",
+            "--eval-every", "--min-count", "--precision"}
+        assert tuple(flags["--variant"]) == ("mrnn", "baseline")
+        assert tuple(flags["--precision"]) == ("float64", "float32")
+
+    def test_defaults_are_the_fields(self):
+        settings = self.resolve()
+        assert settings == {**{f.name: f.default for f in SETTING_FIELDS}, "min_count": 1}
+        assert TrainConfig.from_settings(settings, 20, 3) == TrainConfig(ModelConfig(20, 3))
+
+    @pytest.mark.parametrize("field", SETTING_FIELDS, ids=lambda f: f.name)
+    def test_flag_sets_the_field(self, field):
+        value = other_value(field)
+        settings = self.resolve(f"--{field.name.replace('_', '-')}", value)
+        assert self.configured(settings, field) == type(field.default)(value) != field.default
+
+    @pytest.mark.parametrize("field", SETTING_FIELDS, ids=lambda f: f.name)
+    def test_config_key_sets_the_field(self, field, tmp_path):
+        value = other_value(field)
+        (tmp_path / "run.cfg").write_text(f"{field.name} = {value}\n")
+        settings = self.resolve("--config", str(tmp_path / "run.cfg"))
+        assert self.configured(settings, field) == type(field.default)(value) != field.default
+
+    def test_estimator_params_default_to_the_fields(self):
+        params = MRNNCaptioner().get_params()
+        # fit holds out no validation split, so there is nothing to evaluate every n epochs
+        assert {f.name for f in SETTING_FIELDS} - set(params) == {"eval_every"}
+        for field in SETTING_FIELDS:
+            assert params.get(field.name, field.default) == field.default, field.name
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_clip_norm_none_trains_unclipped(self, workspace, tmp_path, monkeypatch, capsys,
+                                             spelling):
+        seen = []
+
+        def spy(config, *args):
+            seen.append(config)
+            return train(config, *args)
+
+        monkeypatch.setattr(cli, "train", spy)
+        (tmp_path / "run.cfg").write_text("clip_norm = None\n")
+        extra = (["--clip-norm", "none"] if spelling == "flag"
+                 else ["--config", str(tmp_path / "run.cfg")])
+        data, out = workspace["data"], tmp_path / "out"
+        code, _, _ = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
+                              "--features", str(data / "features.mrnf"),
+                              "--split", str(data / "split.tsv"), "--out", str(out),
+                              "--epochs", "1", "--d-e1", "4", "--d-e2", "4", "--d-r", "4",
+                              "--d-m", "4", *extra)
+        assert code == 0
+        assert [config.clip_norm for config in seen] == [None]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["settings"]["clip_norm"] == "none"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "two", "epochs = 'two' is not a valid int"),
+        ("--d-r", "1.5", "d_r = '1.5' is not a valid int"),
+        ("--clip-norm", "off", "clip_norm = 'off' is not a valid float"),
+    ])
+    def test_bad_value_is_one_error_line(self, workspace, tmp_path, capsys, flag, value,
+                                         message):
+        data = workspace["data"]
+        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
+                                "--features", str(data / "features.mrnf"),
+                                "--split", str(data / "split.tsv"),
+                                "--out", str(tmp_path / "o"), flag, value)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestRetrievalScores:

@@ -139,6 +139,12 @@ class TestFeatureStore:
         with pytest.raises(FeatureFileError, match="dimension"):
             load_features(tmp_path / "f.tsv")
 
+    def test_tsv_duplicate_id(self, tmp_path):
+        # the binary reader rejects repeats too; a later row must not replace an earlier one
+        (tmp_path / "f.tsv").write_text("a\t1.0\t2.0\nb\t3.0\t4.0\na\t5.0\t6.0\n")
+        with pytest.raises(FeatureFileError, match=r"f.tsv:3: duplicate image id 'a'"):
+            load_features(tmp_path / "f.tsv")
+
 
 class TestCaptionAndSplitFiles:
     def test_caption_round_trip(self, tmp_path):
@@ -199,6 +205,29 @@ class TestSyntheticCorpus:
     def test_minimum_images(self):
         with pytest.raises(ValueError):
             generate_synthetic_corpus(Rng(0), 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_topics", 0), ("n_topics", -2), ("captions_per_image", 0), ("min_count", 0),
+        ("noise_dim", -1), ("feature_noise", -0.1), ("feature_noise", float("nan")),
+        ("train_frac", 1.5), ("train_frac", -0.1), ("val_frac", -0.1),
+        ("val_frac", float("nan")),
+    ])
+    def test_spec_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(**{field: value})
+
+    def test_spec_fractions_must_sum_to_at_most_one(self):
+        with pytest.raises(ValueError, match="sum to at most 1"):
+            SynthSpec(train_frac=0.8, val_frac=0.3)
+
+    @pytest.mark.parametrize("train_frac, val_frac", [
+        (0.7, 0.3), (0.1, 0.2), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0),
+        (0.7 + 2e-16, 0.3),  # sums to 1.0000000000000002: float rounding, not a bad spec
+    ])
+    def test_spec_accepts_fractions_in_range(self, train_frac, val_frac):
+        spec = SynthSpec(train_frac=train_frac, val_frac=val_frac)
+        split, _, _ = generate_synthetic_corpus(Rng(4), 10, spec)
+        assert len(split.train) >= 1
 
     def test_two_images_distinct_features(self):
         _, store, _ = generate_synthetic_corpus(Rng(1), 2, SynthSpec(n_topics=2))

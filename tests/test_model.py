@@ -303,10 +303,21 @@ class TestCheckpoint:
         ("variant", "unknown variant code 7"),
         ("dtype", "unknown dtype code 9"),
         ("trailing", "trailing bytes"),
+        ("nan", "b_out has NaN"),
     ])
     def test_corrupt_header_or_tail_is_named_error(self, tmp_path, kind, match):
         save_checkpoint(tiny_params(), tmp_path / "m.mrnm")
         path = corrupt_checkpoint(tmp_path / "m.mrnm", kind)
         with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant, block", [("mrnn", "W_out"), ("mrnn", "E1"),
+                                                ("baseline", "U")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_is_named_error(self, tmp_path, variant, block, value):
+        params = tiny_params(variant=variant)
+        params.arrays[block][2, 1] = value
+        save_checkpoint(params, tmp_path / "m.mrnm")
+        with pytest.raises(ValueError, match=f"array {block} has NaN or infinite"):
+            load_checkpoint(tmp_path / "m.mrnm")
 
