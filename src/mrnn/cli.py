@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (MIN_COUNT, ImageFeatureStore, SynthSpec, build_dataset,
-                     build_vocabulary, generate_synthetic_corpus, load_captions,
-                     load_features, load_split_map, load_vocab, save_captions,
-                     save_features, save_features_tsv, save_split_map, save_vocab)
+from .corpus import (MIN_COUNT, SynthSpec, build_dataset, build_vocabulary,
+                     generate_synthetic_corpus, load_captions, load_features,
+                     load_split_map, load_vocab, save_captions, save_features,
+                     save_features_tsv, save_split_map, save_vocab)
 from .evaluation import (corpus_perplexity, generation_bleu, recall_curve,
                          retrieval_eval, shortlist)
 from .inference import (GenerationConfig, generate, log2prob_matrix,
@@ -308,15 +308,15 @@ def _retrieval_scores(args, params, subset, store, dataset):
     scores = normalized_log2prob_matrix(params, tokens, store.matrix(image_ids), norm_feats).T
 
     if getattr(args, "shortlist", None):
-        sub_store = ImageFeatureStore(store.feature_dim)
-        for image_id in image_ids:
-            sub_store.add(image_id, store.get(image_id))
-        near = shortlist(image_ids, sub_store, size=args.shortlist)
-        for q, image_id in enumerate(image_ids):
-            allowed = set(near[image_id])
-            for c, ex in enumerate(subset):
-                if ex.image_id not in allowed:
-                    scores[q, c] = -np.inf
+        near = shortlist(image_ids, store, size=args.shortlist, candidate_ids=image_ids)
+        # image_ids is sorted, so searchsorted turns an image id into its query
+        # row; object arrays, because numpy's str arrays drop trailing NULs
+        ids = np.array(image_ids, dtype=object)
+        near_rows = np.searchsorted(ids, np.array([near[i] for i in image_ids], dtype=object))
+        own_rows = np.searchsorted(ids, np.array([ex.image_id for ex in subset], dtype=object))
+        keep = np.zeros((len(ids), len(ids)), dtype=bool)
+        np.put_along_axis(keep, near_rows, True, axis=1)
+        scores[~keep[:, own_rows]] = -np.inf
 
     gt = {q: {cand_ids[c] for c, ex in enumerate(subset) if ex.image_id == image_id}
           for q, image_id in enumerate(image_ids)}

@@ -90,6 +90,8 @@ def build_vocabulary(captions: list[str], min_count: int = MIN_COUNT) -> Vocabul
     """
     if not captions:
         raise ValueError("cannot build a vocabulary from an empty caption list")
+    if min_count < 1:
+        raise ValueError(f"min_count must be at least 1, got {min_count}")
     counts = Counter()
     for text in captions:
         counts.update(tokenize(text))
@@ -122,43 +124,58 @@ class CaptionedExample:
 
 
 class ImageFeatureStore:
-    """Fixed, precomputed feature vector per image id."""
+    """Precomputed feature vectors: one read-only (N, d) float64 matrix whose
+    rows are sorted by image id, so rankings never depend on input order.
 
-    def __init__(self, feature_dim: int):
-        if feature_dim <= 0:
-            raise ValueError("feature_dim must be positive")
-        self.feature_dim = feature_dim
-        self._entries: dict[str, np.ndarray] = {}
+    The constructor is where a feature matrix is validated: 2-D with dim >= 1,
+    one id per row, finite entries and unique ids (an error names the first
+    repeated id in id order).  A (0, d) store is legal.
+    """
 
-    def add(self, image_id: str, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.feature_dim,):
-            raise ValueError(
-                f"feature for {image_id!r} has dim {vec.shape}, expected ({self.feature_dim},)")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"feature for {image_id!r} has NaN or infinite entries")
-        self._entries[image_id] = vec
+    def __init__(self, ids, matrix):
+        matrix = np.array(matrix, dtype=np.float64)  # a copy: the store owns its rows
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValueError(f"feature matrix must be 2-D with dim >= 1, "
+                             f"got shape {matrix.shape}")
+        if len(ids) != len(matrix):
+            raise ValueError(f"{len(ids)} image ids for {len(matrix)} feature rows")
+        bad = ~np.isfinite(matrix).all(axis=1)
+        if bad.any():
+            raise ValueError(f"feature for {ids[np.argmax(bad)]!r} has NaN or infinite entries")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self._ids = [ids[i] for i in order]
+        repeats = [a for a, b in zip(self._ids, self._ids[1:]) if a == b]
+        if repeats:
+            raise ValueError(f"duplicate image id {repeats[0]!r}")
+        self._index = {image_id: row for row, image_id in enumerate(self._ids)}
+        self._matrix = matrix if order == list(range(len(ids))) else matrix[order]
+        self._matrix.flags.writeable = False
 
-    def get(self, image_id: str) -> np.ndarray:
+    @property
+    def feature_dim(self) -> int:
+        return self._matrix.shape[1]
+
+    def _row(self, image_id: str) -> int:
         try:
-            return self._entries[image_id]
+            return self._index[image_id]
         except KeyError:
             raise KeyError(f"no feature vector for image id {image_id!r}") from None
 
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self._entries
+    def get(self, image_id: str) -> np.ndarray:
+        return self._matrix[self._row(image_id)]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ids)
 
     def ids(self) -> list[str]:
-        """All image ids in sorted order (rankings must not depend on insertion order)."""
-        return sorted(self._entries)
+        """All image ids in sorted order, the order of the matrix rows."""
+        return list(self._ids)
 
-    def matrix(self, image_ids: list[str]) -> np.ndarray:
-        """The features of ``image_ids`` as rows of one (N, feature_dim) array."""
-        return np.array([self.get(i) for i in image_ids],
-                        dtype=np.float64).reshape(len(image_ids), self.feature_dim)
+    def matrix(self, image_ids: list[str] | None = None) -> np.ndarray:
+        """The features of ``image_ids`` (default: every row) as one (N, d) array."""
+        if image_ids is None:
+            return self._matrix
+        return self._matrix[[self._row(i) for i in image_ids]]
 
 
 @dataclass
@@ -176,11 +193,11 @@ def save_features(store: ImageFeatureStore, path) -> None:
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<IQI", FEATURE_VERSION, len(store), store.feature_dim))
-        for image_id in store.ids():
+        for image_id, row in zip(store.ids(), store.matrix().astype("<f4")):
             raw = image_id.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-            fh.write(store.get(image_id).astype("<f4").tobytes())
+            fh.write(row.tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -188,6 +205,14 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     if len(buf) != n:
         raise FeatureFileError(f"truncated feature file while reading {what}")
     return buf
+
+
+def _feature_store(path, ids: list[str], matrix) -> ImageFeatureStore:
+    """The store of a parsed feature file; the store's checks name the file."""
+    try:
+        return ImageFeatureStore(ids, matrix)
+    except ValueError as exc:
+        raise FeatureFileError(f"{path}: {exc}") from None
 
 
 def load_features(path) -> ImageFeatureStore:
@@ -201,34 +226,30 @@ def load_features(path) -> ImageFeatureStore:
             raise FeatureFileError(f"unsupported feature file version {version}")
         if dim == 0:
             raise FeatureFileError("feature file declares dimension 0")
-        store = ImageFeatureStore(dim)
+        ids, rows = [], bytearray()
         for _ in range(count):
             (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "id length"))
-            image_id = _read_exact(fh, id_len, "id bytes").decode("utf-8")
-            vec = np.frombuffer(_read_exact(fh, 4 * dim, f"vector for {image_id!r}"),
-                                dtype="<f4").astype(np.float64)
-            store.add(image_id, vec)
+            ids.append(_read_exact(fh, id_len, "id bytes").decode("utf-8"))
+            rows += _read_exact(fh, 4 * dim, f"vector for {ids[-1]!r}")
         if fh.read(1):
             raise FeatureFileError("trailing bytes after declared entry count")
-    if len(store) != count:
-        raise FeatureFileError("duplicate image ids in feature file")
-    return store
+    return _feature_store(path, ids, np.frombuffer(rows, dtype="<f4").reshape(count, dim))
 
 
 def save_features_tsv(store: ImageFeatureStore, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id in store.ids():
-            vals = "\t".join(repr(float(v)) for v in store.get(image_id))
+        for image_id, row in zip(store.ids(), store.matrix().tolist()):
+            vals = "\t".join(repr(v) for v in row)
             fh.write(f"{image_id}\t{vals}\n")
 
 
 def _load_features_tsv(path) -> ImageFeatureStore:
-    store = None
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise FeatureFileError(
             f"{path}: bad magic (not a binary feature file) and not UTF-8 TSV") from None
+    rows: dict[str, list[float]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
@@ -236,20 +257,18 @@ def _load_features_tsv(path) -> ImageFeatureStore:
         if len(parts) < 2:
             raise FeatureFileError(f"{path}:{lineno}: expected id<TAB>values")
         try:
-            vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+            row = [float(p) for p in parts[1:]]
         except ValueError:
             raise FeatureFileError(f"{path}:{lineno}: non-numeric feature value") from None
-        if store is None:
-            store = ImageFeatureStore(len(vec))
-        elif len(vec) != store.feature_dim:
-            raise FeatureFileError(
-                f"{path}:{lineno}: dimension {len(vec)} != {store.feature_dim}")
-        elif parts[0] in store:
+        if rows and len(row) != dim:
+            raise FeatureFileError(f"{path}:{lineno}: dimension {len(row)} != {dim}")
+        if parts[0] in rows:
             raise FeatureFileError(f"{path}:{lineno}: duplicate image id {parts[0]!r}")
-        store.add(parts[0], vec)
-    if store is None:
+        rows[parts[0]] = row
+        dim = len(row)
+    if not rows:
         raise FeatureFileError(f"{path}: no feature rows")
-    return store
+    return _feature_store(path, list(rows), list(rows.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +401,18 @@ def generate_synthetic_corpus(rng: Rng, n_images: int, spec: SynthSpec = SynthSp
     if n_images < 2:
         raise ValueError("need at least 2 images")
     dim = spec.n_topics + spec.noise_dim
-    store = ImageFeatureStore(dim)
+    features = np.zeros((n_images, dim))
     image_ids = [f"img{i:04d}" for i in range(n_images)]
 
     topics = [i % spec.n_topics for i in range(n_images)]
     rng.shuffle(topics)
 
     pairs = []
-    for image_id, topic in zip(image_ids, topics):
-        vec = np.zeros(dim)
+    for image_id, topic, vec in zip(image_ids, topics, features):
         vec[topic] = 1.0
         vec[:spec.n_topics] += rng.uniform(-spec.feature_noise, spec.feature_noise, spec.n_topics)
         if spec.noise_dim:
             vec[spec.n_topics:] = rng.uniform(-0.5, 0.5, spec.noise_dim)
-        # Round-trip through f32 so the binary feature format is bit-exact.
-        store.add(image_id, vec.astype(np.float32).astype(np.float64))
 
         name, nouns, adjs, verbs = _topic_bank(topic)
         for _ in range(spec.captions_per_image):
@@ -407,6 +423,8 @@ def generate_synthetic_corpus(rng: Rng, n_images: int, spec: SynthSpec = SynthSp
                 verb=verbs[rng.randint(len(verbs))], topic=name)
             pairs.append((image_id, text))
 
+    # Round-trip through f32 so the binary feature format is bit-exact.
+    store = ImageFeatureStore(image_ids, features.astype(np.float32))
     shuffled = list(image_ids)
     rng.shuffle(shuffled)
     n_train = max(1, round(spec.train_frac * n_images))

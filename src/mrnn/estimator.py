@@ -60,16 +60,14 @@ class MRNNCaptioner:
         return self
 
     def _dataset(self, X: np.ndarray, captions: list[str], vocab):
-        store = ImageFeatureStore(X.shape[1])
+        image_ids = [f"x{i:06d}" for i in range(len(X))]
         split = DatasetSplit()
-        for i, (row, text) in enumerate(zip(X, captions)):
-            image_id = f"x{i:06d}"
-            store.add(image_id, row)
+        for i, (image_id, text) in enumerate(zip(image_ids, captions)):
             tokens = vocab.encode(text)
             if not tokens:
                 raise ValueError(f"caption {i} tokenizes to nothing: {text!r}")
             split.train.append(CaptionedExample(image_id, tokens, text))
-        return split, store
+        return split, ImageFeatureStore(image_ids, X)
 
     def fit(self, X, y) -> "MRNNCaptioner":
         X = as_feature_matrix(X)

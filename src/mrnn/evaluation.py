@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CaptionedExample, ImageFeatureStore, Vocabulary
-from .inference import GenerationConfig, generate, sentence_log2prob
+from .inference import GenerationConfig, generate
 from .model import ModelParams
-from .training import _feature_for
+from .training import bits_per_word
 
 
 @dataclass
@@ -75,15 +75,7 @@ def bleu(candidates: list[list], references: list[list[list]],
 def corpus_perplexity(params: ModelParams, examples: list[CaptionedExample],
                       features: ImageFeatureStore | None) -> float:
     """Word-weighted perplexity: 2 ** (total -log2 prob / total positions)."""
-    if not examples:
-        raise ValueError("corpus_perplexity needs at least one example")
-    total_log2 = 0.0
-    total_words = 0
-    for ex in examples:
-        log2p, _ = sentence_log2prob(params, ex.tokens, _feature_for(params, features, ex))
-        total_log2 += log2p
-        total_words += len(ex.tokens) + 1
-    return 2.0 ** (-total_log2 / total_words)
+    return 2.0 ** bits_per_word(params, examples, features)
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +147,25 @@ def recall_curve(scores: np.ndarray, groundtruth: dict[int, set],
     return RecallCurve(points)
 
 
-def shortlist(query_ids: list[str], store: ImageFeatureStore,
-              size: int = 100) -> dict[str, list[str]]:
-    """Per-query nearest-neighbor image ids in feature space.
+def shortlist(query_ids: list[str], store: ImageFeatureStore, size: int = 100,
+              candidate_ids: list[str] | None = None) -> dict[str, list[str]]:
+    """Per-query ids of the ``size`` nearest candidate images in feature space,
+    nearest first, ties by id.
 
-    The query's own image is always part of its shortlist (distance zero).
+    Candidates are ``candidate_ids`` or, by default, every stored image.  A
+    query that is also a candidate is always part of its own shortlist
+    (distance zero).
     """
-    all_ids = store.ids()
-    if len(all_ids) < size:
-        raise ValueError(f"store has {len(all_ids)} images, shortlist needs {size}")
-    out = {}
-    for qid in query_ids:
-        qvec = store.get(qid)
-        dists = [(float(np.linalg.norm(store.get(cid) - qvec)), cid) for cid in all_ids]
-        dists.sort()
-        out[qid] = [cid for _, cid in dists[:size]]
-    return out
+    cand_ids = store.ids() if candidate_ids is None else sorted(candidate_ids)
+    if len(cand_ids) < size:
+        raise ValueError(f"{len(cand_ids)} candidate images, shortlist needs {size}")
+    cands = store.matrix(cand_ids)
+    dists = np.empty((len(query_ids), len(cand_ids)))
+    for q, qvec in enumerate(store.matrix(query_ids)):
+        dists[q] = np.linalg.norm(cands - qvec, axis=1)
+    # the columns are in id order, so a stable sort breaks distance ties by id
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :size]
+    return {qid: [cand_ids[j] for j in row] for qid, row in zip(query_ids, nearest)}
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def retrieve_images(params: ModelParams, query_tokens: list[int],
     if len(store) == 0:
         raise ValueError("feature store is empty")
     ids = store.ids()
-    log2p = log2prob_matrix(params, [query_tokens], store.matrix(ids))[0]
+    log2p = log2prob_matrix(params, [query_tokens], store.matrix())[0]
     ppl = 2.0 ** (-log2p / (len(query_tokens) + 1))
     scored = sorted(zip(ids, ppl.tolist()), key=lambda pair: (pair[1], pair[0]))
     return RetrievalResult("text_to_image", scored)

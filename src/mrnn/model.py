@@ -103,18 +103,11 @@ class ModelParams:
         self.arrays = arrays
 
     @classmethod
-    def initialize(cls, config: ModelConfig, rng: Rng, dtype=np.float64,
-                   scheme: str = "uniform") -> "ModelParams":
-        """Weights from the named scheme, biases zero."""
-        arrays = {}
-        for name, shape in config.param_shapes().items():
-            if name.startswith("b_"):
-                arrays[name] = np.zeros(shape, dtype=dtype)
-            elif len(shape) == 1:
-                arrays[name] = init_matrix(shape[0], 1, scheme, rng, dtype=dtype)[:, 0]
-            else:
-                arrays[name] = init_matrix(shape[0], shape[1], scheme, rng, dtype=dtype)
-        return cls(config, arrays)
+    def initialize(cls, config: ModelConfig, rng: Rng, dtype=np.float64) -> "ModelParams":
+        """Uniform weights (see ``init_matrix``), biases zero."""
+        return cls(config, {name: np.zeros(shape, dtype=dtype) if name.startswith("b_")
+                            else init_matrix(*shape, rng, dtype=dtype)
+                            for name, shape in config.param_shapes().items()})
 
     @classmethod
     def zeros(cls, config: ModelConfig, dtype=np.float64) -> "ModelParams":

@@ -82,10 +82,6 @@ class Rng:
         self.shuffle(pool)
         return pool[:k]
 
-    def spawn(self) -> "Rng":
-        """Derive an independent child generator from this stream."""
-        return Rng(self.next_u64())
-
 
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product with an explicit dimension check."""
@@ -131,20 +127,10 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def init_matrix(rows: int, cols: int, scheme: str, rng: Rng,
-                scale: float | None = None, dtype=np.float64) -> np.ndarray:
-    """Fresh (rows, cols) weight matrix drawn from a named scheme.
-
-    ``zeros``    all-zero matrix (used for biases and ablations).
-    ``uniform``  i.i.d. uniform on [-a, a]; a defaults to
-                 sqrt(6 / (rows + cols)), the variance-preserving choice.
-    """
+def init_matrix(rows: int, cols: int, rng: Rng, dtype=np.float64) -> np.ndarray:
+    """Fresh (rows, cols) weight matrix, i.i.d. uniform on [-a, a] with
+    a = sqrt(6 / (rows + cols)), the variance-preserving choice."""
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dims must be positive")
-    if scheme == "zeros":
-        return np.zeros((rows, cols), dtype=dtype)
-    if scheme == "uniform":
-        a = scale if scale is not None else math.sqrt(6.0 / (rows + cols))
-        flat = rng.uniform(-a, a, rows * cols)
-        return flat.reshape(rows, cols).astype(dtype)
-    raise ValueError(f"unknown init scheme: {scheme!r}")
+    a = math.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-a, a, rows * cols).reshape(rows, cols).astype(dtype)

@@ -96,11 +96,12 @@ def _feature_for(params: ModelParams, features: ImageFeatureStore | None,
     return features.get(example.image_id)
 
 
-def cost(params: ModelParams, examples: list[CaptionedExample],
-         features: ImageFeatureStore | None, lambda_reg: float) -> float:
-    """Average per-word negative log2 likelihood plus lambda * ||weights||^2."""
+def bits_per_word(params: ModelParams, examples: list[CaptionedExample],
+                  features: ImageFeatureStore | None) -> float:
+    """Negative log2 likelihood per predicted position (content words and
+    end signs), over all of ``examples``."""
     if not examples:
-        raise ValueError("cost needs at least one example")
+        raise ValueError("need at least one example")
     nll_bits = 0.0
     n_words = 0
     for ex in examples:
@@ -108,7 +109,13 @@ def cost(params: ModelParams, examples: list[CaptionedExample],
         _, targets = sentence_inputs_targets(ex.tokens)
         nll_bits -= trace.log2prob(targets)
         n_words += len(targets)
-    return nll_bits / n_words + lambda_reg * params.weight_sq_norm()
+    return nll_bits / n_words
+
+
+def cost(params: ModelParams, examples: list[CaptionedExample],
+         features: ImageFeatureStore | None, lambda_reg: float) -> float:
+    """Average per-word negative log2 likelihood plus lambda * ||weights||^2."""
+    return bits_per_word(params, examples, features) + lambda_reg * params.weight_sq_norm()
 
 
 def sentence_gradient(params: ModelParams, example: CaptionedExample,

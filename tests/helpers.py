@@ -10,6 +10,7 @@ import struct
 
 import numpy as np
 
+from mrnn.corpus import FEATURE_MAGIC, FEATURE_VERSION
 from mrnn.model import forward_sentence, forward_step, sentence_inputs_targets
 from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output
 
@@ -196,3 +197,13 @@ def corrupt_checkpoint(path, kind):
     bad = path.with_name(f"{kind}.mrnm")
     bad.write_bytes(CORRUPTIONS[kind](path.read_bytes()))
     return bad
+
+
+def write_mrnf(path, entries, dim):
+    """A binary feature file of (id, values) entries, written field by field,
+    so it may hold what the library's writer cannot (e.g. a repeated id)."""
+    blob = FEATURE_MAGIC + struct.pack("<IQI", FEATURE_VERSION, len(entries), dim)
+    for image_id, values in entries:
+        raw = image_id.encode("utf-8")
+        blob += struct.pack("<H", len(raw)) + raw + np.asarray(values, "<f4").tobytes()
+    path.write_bytes(blob)

@@ -69,8 +69,7 @@ def test_criterion_3_uniform_model_identities():
     m = 23
     cfg = ModelConfig(vocab_size=m, d_i=4, d_e1=4, d_e2=4, d_r=5, d_m=6)
     params = ModelParams.zeros(cfg)
-    store = ImageFeatureStore(4)
-    store.add("im0", np.array([0.1, -0.2, 0.3, 0.4]))
+    store = ImageFeatureStore(["im0"], [[0.1, -0.2, 0.3, 0.4]])
     from mrnn.corpus import CaptionedExample
     examples = [CaptionedExample("im0", [3, 4, 5], ""),
                 CaptionedExample("im0", [6, 7, 8, 9], "")]
@@ -200,10 +199,8 @@ def test_criterion_6_metric_oracles():
                 if j in gt[q]) for q in range(5))
         curve_ok &= mean == total / 5
 
-    store = ImageFeatureStore(3)
-    srng = Rng(79)
-    for i in range(8):
-        store.add(f"im{i}", srng.uniform(-1, 1, 3))
+    store = ImageFeatureStore([f"im{i}" for i in range(8)],
+                              Rng(79).uniform(-1, 1, 24).reshape(8, 3))
     near = shortlist(store.ids(), store, size=4)
     short_ok = True
     for qid in store.ids():

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import shutil
@@ -9,10 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import corrupt_checkpoint, randomize_biases
+from helpers import corrupt_checkpoint, randomize_biases, write_mrnf
 from mrnn import cli
 from mrnn.cli import _retrieval_scores, build_parser, resolve_settings
-from mrnn.corpus import SynthSpec, generate_synthetic_corpus, load_vocab
+from mrnn.corpus import (CaptionedExample, DatasetSplit, ImageFeatureStore, SynthSpec,
+                         build_vocabulary, generate_synthetic_corpus, load_features,
+                         load_vocab)
 from mrnn.estimator import MRNNCaptioner
 from mrnn.inference import sentence_log2prob
 from mrnn.model import ModelConfig, ModelParams, save_checkpoint
@@ -79,6 +82,28 @@ class TestSynth:
         run_cli("synth", "--out", str(tmp_path), "--images", "4",
                 "--feature-format", "tsv", "--seed", "0")
         assert (tmp_path / "features.tsv").exists()
+
+    # The benchmark's inputs and its expected outputs are made by `mrnn synth`,
+    # so its bytes are pinned, not only its run-to-run determinism.
+    PINNED_SHA256 = {
+        "captions.tsv": "7ffc586ce07342b5ea5a5de4e74f32eeda9d7873c9224e2c42ec74f7fea057c2",
+        "features.mrnf": "d9e38cdac836fc95fd522a93b01c1510e982cf95b86743c607e6a2ba16eff9f9",
+        "split.tsv": "25f124fa9e1665baf1dce2332f51997417f648280eb644671762c56f76aec6a3",
+        "features.tsv": "390eb49fcbc2b47cb6713f0d8d3497b2533cf2689a082432e4582a1996731f83",
+    }
+
+    @pytest.mark.parametrize("feature_format, names", [
+        ("bin", ("captions.tsv", "features.mrnf", "split.tsv")),
+        ("tsv", ("features.tsv",)),
+    ])
+    def test_pinned_bytes(self, tmp_path, capsys, feature_format, names):
+        code, _, _ = run_main(capsys, "synth", "--out", str(tmp_path), "--images", "12",
+                              "--topics", "3", "--seed", "1",
+                              "--feature-format", feature_format)
+        assert code == 0
+        for name in names:
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == self.PINNED_SHA256[name], name
 
     @pytest.mark.parametrize("flag, value", [
         ("--topics", "0"), ("--topics", "-2"), ("--captions-per-image", "0"),
@@ -187,6 +212,37 @@ class TestTrain:
         assert outs[0]["inputs"]["captions"]["sha256"] != \
                outs[1]["inputs"]["captions"]["sha256"]
 
+
+    @pytest.mark.parametrize("min_count", [0, -3])
+    def test_min_count_below_one_is_refused(self, workspace, tmp_path, capsys, min_count):
+        with pytest.raises(ValueError, match="min_count"):
+            build_vocabulary(["a b", "a c"], min_count=min_count)
+        with pytest.raises(ValueError, match="min_count"):
+            MRNNCaptioner(min_count=min_count, epochs=1).fit(np.eye(2), ["a b", "a c"])
+        data = workspace["data"]
+        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
+                                "--features", str(data / "features.mrnf"),
+                                "--split", str(data / "split.tsv"),
+                                "--out", str(tmp_path / "o"), "--epochs", "1",
+                                "--min-count", str(min_count))
+        assert code == 1
+        assert err == f"error: min_count must be at least 1, got {min_count}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_feature_id_is_one_error_line(self, workspace, tmp_path, capsys):
+        data = workspace["data"]
+        store = load_features(data / "features.mrnf")
+        ids = store.ids()
+        first_id = ids[0]
+        write_mrnf(tmp_path / "dup.mrnf", [(i, store.get(i)) for i in ids + [first_id]],
+                   store.feature_dim)
+        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
+                                "--features", str(tmp_path / "dup.mrnf"),
+                                "--split", str(data / "split.tsv"),
+                                "--out", str(tmp_path / "o"), "--epochs", "1")
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: ") and f"duplicate image id {first_id!r}" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("clip", ["-1", "0"])
     def test_bad_clip_norm_is_one_error_line(self, workspace, tmp_path, clip):
@@ -545,6 +601,30 @@ class TestRetrievalScores:
         finite = np.isfinite(scores)
         assert finite.all() == (shortlist is None)
         np.testing.assert_allclose(scores[finite], oracle[finite], rtol=0, atol=1e-12)
+
+    def test_i2t_shortlist_keeps_the_captions_of_the_nearest_images(self, setup):
+        params, dataset, store = setup
+        scores, _, _ = self.scores(setup, "i2t", 3)
+        image_ids = sorted({ex.image_id for ex in dataset.train})
+        for q, qid in enumerate(image_ids):
+            qvec = store.get(qid)
+            near = sorted(image_ids,
+                          key=lambda c: (float(np.linalg.norm(store.get(c) - qvec)), c))[:3]
+            expected = [ex.image_id in near for ex in dataset.train]
+            assert np.isfinite(scores[q]).tolist() == expected, qid
+
+    def test_i2t_shortlist_of_one_keeps_each_images_own_captions(self, setup):
+        # ids that differ only by trailing NULs, which numpy str arrays drop
+        params, dataset, _ = setup
+        ids = ["im", "im\x00", "im\x00\x00"]
+        store = ImageFeatureStore(ids, Rng(4).uniform(-1, 1, 3 * params.config.d_i)
+                                  .reshape(3, params.config.d_i))
+        subset = [CaptionedExample(image_id, ex.tokens, "")
+                  for image_id, ex in zip(ids * 2, dataset.train)]
+        args = argparse.Namespace(direction="i2t", norm_images=4, seed=2, shortlist=1)
+        scores, _, _ = _retrieval_scores(args, params, subset, store, DatasetSplit(subset))
+        own = [[ex.image_id == image_id for ex in subset] for image_id in sorted(ids)]
+        assert np.isfinite(scores).tolist() == own
 
 
 class TestGradcheckCli:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from helpers import write_mrnf
 from mrnn.corpus import (END_INDEX, START_INDEX, UNK_INDEX, FeatureFileError,
                          ImageFeatureStore, SynthSpec, Vocabulary,
                          build_dataset, build_vocabulary,
@@ -82,23 +83,84 @@ class TestVocabulary:
 
 
 def small_store():
-    store = ImageFeatureStore(4)
-    rng = Rng(3)
-    for i in range(5):
-        vec = rng.uniform(-1, 1, 4).astype(np.float32).astype(np.float64)
-        store.add(f"im{i}", vec)
-    return store
+    return ImageFeatureStore([f"im{i}" for i in range(5)],
+                             Rng(3).uniform(-1, 1, 20).reshape(5, 4).astype(np.float32))
 
 
 class TestFeatureStore:
     def test_dim_check(self):
-        store = ImageFeatureStore(4)
         with pytest.raises(ValueError, match="dim"):
-            store.add("x", np.zeros(3))
+            ImageFeatureStore(["x"], np.zeros(3))
 
     def test_missing_id(self):
         with pytest.raises(KeyError, match="imX"):
             small_store().get("imX")
+        with pytest.raises(KeyError, match="imX"):
+            small_store().matrix(["im0", "imX"])
+
+    def test_rows_in_id_order_whatever_the_input_order(self):
+        store = ImageFeatureStore(["c", "a", "b"], [[3.0, 30.0], [1.0, 10.0], [2.0, 20.0]])
+        assert store.ids() == ["a", "b", "c"]
+        assert_array_equal(store.matrix(), [[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+        assert_array_equal(store.get("c"), [3.0, 30.0])
+        assert store.feature_dim == 2 and len(store) == 3
+
+    def test_matrix_follows_requested_order(self):
+        store = small_store()
+        ids = ["im3", "im0", "im3", "im1"]
+        assert_array_equal(store.matrix(ids), [store.get(i) for i in ids])
+        assert store.matrix([]).shape == (0, 4)
+
+    @pytest.mark.parametrize("ids, rows, match", [
+        (["b", "a", "b", "a"], np.zeros((4, 2)), "duplicate image id 'a'"),
+        (["a", "b"], [[0.0, 0.0], [0.0, np.nan]], "'b' has NaN or infinite"),
+        (["a", "b"], [[0.0, 0.0], [np.inf, 0.0]], "'b' has NaN or infinite"),
+        (["a", "b"], [[0.0, 0.0], [-np.inf, 0.0]], "'b' has NaN or infinite"),
+        (["a", "b"], [1.0, 2.0], "2-D"),
+        (["a"], np.zeros((1, 0)), "2-D"),
+        (["a", "b"], [[1.0, 2.0], [3.0]], "sequence"),  # numpy's message
+        (["a", "b", "c"], np.zeros((2, 2)), "3 image ids for 2 feature rows"),
+        (["a"], np.zeros((2, 2)), "1 image ids for 2 feature rows"),
+    ])
+    def test_constructor_rejects(self, ids, rows, match):
+        with pytest.raises(ValueError, match=match):
+            ImageFeatureStore(ids, rows)
+
+    def test_empty_store_is_legal(self):
+        store = ImageFeatureStore([], np.zeros((0, 3)))
+        assert len(store) == 0 and store.feature_dim == 3 and store.ids() == []
+
+    def test_rows_are_read_only_and_owned(self):
+        rows = np.ones((2, 3))
+        store = ImageFeatureStore(["a", "b"], rows)
+        row = store.get("a")
+        assert not row.flags.writeable and not store.matrix().flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 5.0
+        rows[0, 0] = 5.0  # the caller's array stays writeable and is not shared
+        assert_array_equal(store.get("a"), [1.0, 1.0, 1.0])
+
+    def test_binary_repeated_id(self, tmp_path):
+        write_mrnf(tmp_path / "f.mrnf", [("a", [1, 2]), ("b", [3, 4]), ("a", [5, 6])], 2)
+        with pytest.raises(FeatureFileError, match="duplicate image id 'a'"):
+            load_features(tmp_path / "f.mrnf")
+
+    def test_binary_non_finite_value(self, tmp_path):
+        write_mrnf(tmp_path / "f.mrnf", [("a", [1, 2]), ("b", [np.nan, 4])], 2)
+        with pytest.raises(FeatureFileError, match="'b' has NaN"):
+            load_features(tmp_path / "f.mrnf")
+
+    def test_binary_empty_file_is_an_empty_store(self, tmp_path):
+        write_mrnf(tmp_path / "f.mrnf", [], 3)
+        store = load_features(tmp_path / "f.mrnf")
+        assert len(store) == 0 and store.feature_dim == 3
+
+    def test_binary_trailing_bytes(self, tmp_path):
+        write_mrnf(tmp_path / "f.mrnf", [("a", [1, 2])], 2)
+        with open(tmp_path / "f.mrnf", "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(FeatureFileError, match="trailing"):
+            load_features(tmp_path / "f.mrnf")
 
     def test_binary_round_trip_bit_exact(self, tmp_path):
         store = small_store()
@@ -119,6 +181,13 @@ class TestFeatureStore:
         loaded = load_features(tmp_path / "f.tsv")
         for image_id in store.ids():
             assert_array_equal(loaded.get(image_id), store.get(image_id))
+        save_features_tsv(loaded, tmp_path / "g.tsv")
+        assert (tmp_path / "f.tsv").read_bytes() == (tmp_path / "g.tsv").read_bytes()
+
+    def test_tsv_non_finite_value(self, tmp_path):
+        (tmp_path / "f.tsv").write_text("a\t1.0\t2.0\nb\tinf\t4.0\n")
+        with pytest.raises(FeatureFileError, match="'b' has NaN or infinite"):
+            load_features(tmp_path / "f.tsv")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "junk").write_bytes(b"\x00\x01\x02\x03garbage\xff\xfe")

@@ -10,6 +10,7 @@ from mrnn.evaluation import (bleu, corpus_perplexity, generation_bleu,
 from mrnn.inference import sentence_log2prob
 from mrnn.model import ModelConfig, ModelParams
 from mrnn.numerics import Rng
+from mrnn.training import cost
 from mrnn.corpus import CaptionedExample
 
 
@@ -82,9 +83,8 @@ class TestBleu:
 
 
 VOCAB = build_vocabulary(["sand waves shore", "summit ridge pines"])
-FEAT_STORE = ImageFeatureStore(3)
-for _i in range(3):
-    FEAT_STORE.add(f"im{_i}", Rng(100 + _i).uniform(-1, 1, 3))
+FEAT_STORE = ImageFeatureStore([f"im{i}" for i in range(3)],
+                               [Rng(100 + i).uniform(-1, 1, 3) for i in range(3)])
 
 
 def example(image_id, tokens):
@@ -120,6 +120,18 @@ class TestCorpusPerplexity:
         _, p2 = sentence_log2prob(params, ex2.tokens, FEAT_STORE.get("im1"))
         corpus = corpus_perplexity(params, [ex1, ex2], FEAT_STORE)
         assert corpus == pytest.approx(math.sqrt(p1 * p2), rel=1e-9)
+
+    def test_is_two_to_the_cost_data_term_bit_for_bit(self):
+        # the word-weighted sum of sentence log2 probabilities, as an oracle
+        cfg = ModelConfig(vocab_size=VOCAB.size, d_i=3, d_e1=4, d_e2=4, d_r=5, d_m=6)
+        params = ModelParams.initialize(cfg, Rng(7))
+        examples = [example("im0", [3, 4, 5]), example("im1", [5]), example("im2", [4, 6, 3, 7])]
+        log2p = sum(sentence_log2prob(params, ex.tokens, FEAT_STORE.get(ex.image_id))[0]
+                    for ex in examples)
+        positions = sum(len(ex.tokens) + 1 for ex in examples)
+        ppl = corpus_perplexity(params, examples, FEAT_STORE)
+        assert ppl == 2.0 ** (-log2p / positions)
+        assert ppl == 2.0 ** cost(params, examples, FEAT_STORE, 0.0)
 
     def test_arithmetic_of_the_geometric_mean(self):
         assert math.sqrt(2 * 8) == pytest.approx(4.0)
@@ -237,10 +249,7 @@ class TestRecallCurve:
 
 class TestShortlist:
     def make_store(self, n=5):
-        store = ImageFeatureStore(2)
-        for i in range(n):
-            store.add(f"im{i}", np.array([float(i), 0.0]))
-        return store
+        return ImageFeatureStore([f"im{i}" for i in range(n)], [[float(i), 0.0] for i in range(n)])
 
     def test_full_size_is_whole_store(self):
         store = self.make_store(5)
@@ -255,10 +264,8 @@ class TestShortlist:
             assert near[qid][0] == qid  # distance zero ranks first
 
     def test_matches_brute_force(self):
-        store = ImageFeatureStore(3)
-        rng = Rng(15)
-        for i in range(5):
-            store.add(f"im{i}", rng.uniform(-1, 1, 3))
+        store = ImageFeatureStore([f"im{i}" for i in range(5)],
+                                  Rng(15).uniform(-1, 1, 15).reshape(5, 3))
         near = shortlist(store.ids(), store, size=3)
         for qid in store.ids():
             qvec = store.get(qid)
@@ -270,15 +277,29 @@ class TestShortlist:
         with pytest.raises(ValueError, match="shortlist"):
             shortlist(["im0"], self.make_store(3), size=10)
 
+    def test_distance_ties_break_by_id(self):
+        # im1 and im3 both lie at distance 1 from im2
+        assert shortlist(["im2"], self.make_store(5), size=3) == {"im2": ["im2", "im1", "im3"]}
+        # many ties: 40 images on two points, past the sizes a sort handles by insertion
+        ids = [f"im{i:02d}" for i in range(40)]
+        store = ImageFeatureStore(ids, [[float(i % 3 == 0)] for i in range(40)])
+        near = shortlist(["im01"], store, size=40)["im01"]
+        assert near == [i for i in ids if int(i[2:]) % 3] + [i for i in ids if int(i[2:]) % 3 == 0]
+
+    def test_candidate_ids_restrict_the_candidates(self):
+        store = self.make_store(6)
+        near = shortlist(["im1", "im4"], store, size=2, candidate_ids=["im5", "im0", "im3"])
+        assert near == {"im1": ["im0", "im3"], "im4": ["im3", "im5"]}
+        with pytest.raises(ValueError, match="2 candidate images, shortlist needs 3"):
+            shortlist(["im1"], store, size=3, candidate_ids=["im0", "im3"])
+
 
 class TestGenerationBleu:
     def test_length_matched_candidates(self):
         vocab = build_vocabulary(["sand waves shore", "summit ridge"])
         cfg = ModelConfig(vocab_size=vocab.size, d_i=2, d_e1=4, d_e2=4, d_r=4, d_m=4)
         params = ModelParams.initialize(cfg, Rng(16))
-        store = ImageFeatureStore(2)
-        store.add("a", np.array([1.0, 0.0]))
-        store.add("b", np.array([0.0, 1.0]))
+        store = ImageFeatureStore(["a", "b"], np.eye(2))
         examples = [CaptionedExample("a", vocab.encode("sand waves shore"), ""),
                     CaptionedExample("b", vocab.encode("summit ridge"), "")]
         _, generated = generation_bleu(params, vocab, examples, store)

@@ -145,15 +145,11 @@ class TestLog2ProbMatrix:
 
 class TestRetrieveImages:
     def make_store(self, n=4):
-        store = ImageFeatureStore(3)
-        rng = Rng(50)
-        for i in range(n):
-            store.add(f"im{i}", rng.uniform(-1, 1, 3))
-        return store
+        return ImageFeatureStore([f"im{i}" for i in range(n)],
+                                 Rng(50).uniform(-1, 1, 3 * n).reshape(n, 3))
 
     def test_single_image_rank_one(self):
-        store = ImageFeatureStore(3)
-        store.add("only", FEAT)
+        store = ImageFeatureStore(["only"], [FEAT])
         result = retrieve_images(make_params(1), VOCAB.encode("sand waves"), store)
         assert result.ranked[0][0] == "only"
 
@@ -164,9 +160,8 @@ class TestRetrieveImages:
 
     def test_insertion_order_irrelevant(self):
         store_a = self.make_store()
-        store_b = ImageFeatureStore(3)
-        for image_id in reversed(store_a.ids()):
-            store_b.add(image_id, store_a.get(image_id))
+        ids = store_a.ids()[::-1]
+        store_b = ImageFeatureStore(ids, store_a.matrix(ids))
         params = make_params(3)
         ra = retrieve_images(params, [4, 5], store_a)
         rb = retrieve_images(params, [4, 5], store_b)
@@ -174,7 +169,7 @@ class TestRetrieveImages:
 
     def test_empty_store(self):
         with pytest.raises(ValueError):
-            retrieve_images(make_params(), [3], ImageFeatureStore(3))
+            retrieve_images(make_params(), [3], ImageFeatureStore([], np.zeros((0, 3))))
 
 
 class TestRetrieveSentences:

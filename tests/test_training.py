@@ -14,11 +14,11 @@ from mrnn.training import (TrainConfig, TrainingDiverged, apply_sgd_step,
 
 def uniform_dataset(m=8, length=3, n=1, d_i=4):
     """Sentences over a vocab of size m plus a store with constant features."""
-    store = ImageFeatureStore(d_i)
+    store = ImageFeatureStore([f"im{i}" for i in range(n)],
+                              np.tile(np.linspace(-1, 1, d_i), (n, 1)))
     split = DatasetSplit()
     for i in range(n):
         image_id = f"im{i}"
-        store.add(image_id, np.linspace(-1, 1, d_i))
         tokens = [(3 + j + i) % m for j in range(length)]
         tokens = [max(t, 3) for t in tokens]  # keep clear of reserved indices
         split.train.append(CaptionedExample(image_id, tokens, "x"))
