@@ -10,8 +10,7 @@ from .estimator import MRNNCaptioner
 from .evaluation import (BleuScore, RecallCurve, RetrievalMetrics, bleu,
                          corpus_perplexity, generation_bleu, recall_curve,
                          retrieval_eval, shortlist)
-from .inference import (GenerationConfig, RetrievalResult, generate,
-                        retrieve_images, retrieve_sentences, sentence_log2prob)
+from .inference import GenerationConfig, generate, sentence_log2prob
 from .model import (ForwardTrace, Gradients, ModelConfig, ModelParams,
                     backward_sentence, forward_sentence, forward_step,
                     load_checkpoint, nearest_words, save_checkpoint)
@@ -24,13 +23,12 @@ __all__ = [
     "BleuScore", "CaptionedExample", "DatasetSplit", "ForwardTrace",
     "GenerationConfig", "Gradients", "ImageFeatureStore", "MRNNCaptioner",
     "ModelConfig", "ModelParams", "NotFittedError", "RecallCurve",
-    "RetrievalMetrics", "RetrievalResult", "Rng", "SynthSpec", "TrainConfig",
-    "TrainReport", "TrainingDiverged", "Vocabulary", "backward_sentence",
-    "bleu", "build_vocabulary", "corpus_perplexity", "cost", "forward_sentence",
+    "RetrievalMetrics", "Rng", "SynthSpec", "TrainConfig", "TrainReport",
+    "TrainingDiverged", "Vocabulary", "backward_sentence", "bleu",
+    "build_vocabulary", "corpus_perplexity", "cost", "forward_sentence",
     "forward_step", "generate", "generate_synthetic_corpus", "generation_bleu",
     "gradient_check", "init_matrix", "load_checkpoint", "load_features",
     "matvec", "nearest_words", "recall_curve", "relu", "retrieval_eval",
-    "retrieve_images", "retrieve_sentences", "save_checkpoint", "save_features",
-    "scaled_tanh", "sentence_log2prob", "shortlist", "sigmoid", "softmax",
-    "tokenize", "train",
+    "save_checkpoint", "save_features", "scaled_tanh", "sentence_log2prob",
+    "shortlist", "sigmoid", "softmax", "tokenize", "train",
 ]

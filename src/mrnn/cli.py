@@ -401,9 +401,6 @@ def _add_retrieval_common(sub):
     sub.add_argument("--norm-images", type=int, default=100,
                      help="images sampled for the i2t sentence-probability marginal")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored: scoring runs one pass per sentence "
-                          "on the calling thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ File formats handled here:
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from collections import Counter
@@ -200,11 +201,22 @@ def save_features(store: ImageFeatureStore, path) -> None:
             fh.write(row.tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FeatureFileError(f"truncated feature file while reading {what}")
-    return buf
+def check_length(fh, n: int, what: str, error=ValueError) -> None:
+    """Refuse a declared length of ``n`` bytes, a Python int, that the rest of
+    ``fh`` cannot hold; readers call it before allocating that many bytes."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise error(f"{fh.name}: truncated: {what} needs {n} bytes, {left} are left")
+
+
+def read_exact(fh, into, what: str, error=ValueError):
+    """Fill ``into``, a writable contiguous buffer or a byte count for a new
+    ``bytearray``, from binary file ``fh`` in place and return it."""
+    if isinstance(into, int):
+        into = bytearray(into)
+    if fh.readinto(into) != memoryview(into).nbytes:
+        raise error(f"{fh.name}: truncated while reading {what}")
+    return into
 
 
 def _feature_store(path, ids: list[str], matrix) -> ImageFeatureStore:
@@ -221,19 +233,22 @@ def load_features(path) -> ImageFeatureStore:
         head = fh.read(4)
         if head != FEATURE_MAGIC:
             return _load_features_tsv(path)
-        version, count, dim = struct.unpack("<IQI", _read_exact(fh, 16, "header"))
+        version, count, dim = struct.unpack("<IQI", read_exact(fh, 16, "header", FeatureFileError))
         if version != FEATURE_VERSION:
             raise FeatureFileError(f"unsupported feature file version {version}")
         if dim == 0:
             raise FeatureFileError("feature file declares dimension 0")
-        ids, rows = [], bytearray()
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "id length"))
-            ids.append(_read_exact(fh, id_len, "id bytes").decode("utf-8"))
-            rows += _read_exact(fh, 4 * dim, f"vector for {ids[-1]!r}")
+        # every entry holds at least its id length and its vector
+        check_length(fh, count * (2 + 4 * dim), f"{count} vectors of dimension {dim}",
+                     FeatureFileError)
+        ids, matrix = [], np.empty((count, dim), dtype="<f4")
+        for row in matrix:
+            (id_len,) = struct.unpack("<H", read_exact(fh, 2, "id length", FeatureFileError))
+            ids.append(read_exact(fh, id_len, "id bytes", FeatureFileError).decode("utf-8"))
+            read_exact(fh, row, f"vector for {ids[-1]!r}", FeatureFileError)
         if fh.read(1):
             raise FeatureFileError("trailing bytes after declared entry count")
-    return _feature_store(path, ids, np.frombuffer(rows, dtype="<f4").reshape(count, dim))
+    return _feature_store(path, ids, matrix)
 
 
 def save_features_tsv(store: ImageFeatureStore, path) -> None:
@@ -374,16 +389,14 @@ class SynthSpec:
     n_topics: int = 4
     captions_per_image: int = 2
     noise_dim: int = 4
-    feature_noise: float = 0.1
     train_frac: float = 0.8
     val_frac: float = 0.1
-    min_count: int = MIN_COUNT
 
     def __post_init__(self):
-        if min(self.n_topics, self.captions_per_image, self.min_count) < 1:
-            raise ValueError("n_topics, captions_per_image and min_count must be >= 1")
-        if not (self.noise_dim >= 0 and self.feature_noise >= 0):
-            raise ValueError("noise_dim and feature_noise must be >= 0")
+        if min(self.n_topics, self.captions_per_image) < 1:
+            raise ValueError("n_topics and captions_per_image must be >= 1")
+        if self.noise_dim < 0:
+            raise ValueError("noise_dim must be >= 0")
         if not (0 <= self.train_frac <= 1 and 0 <= self.val_frac <= 1
                 and self.train_frac + self.val_frac <= 1 + 1e-9):  # slack for float rounding
             raise ValueError("train_frac and val_frac must lie in [0, 1] and sum to at most 1")
@@ -394,7 +407,7 @@ def generate_synthetic_corpus(rng: Rng, n_images: int, spec: SynthSpec = SynthSp
     """Desk-scale corpus whose captions depend on the image features.
 
     Each image gets a topic; its feature vector is a one-hot topic block
-    (slightly jittered) plus uniform noise dims, and its captions are drawn
+    (jittered by up to 0.1) plus uniform noise dims, and its captions are drawn
     from topic-specific word banks, so caption content is predictable from
     the feature vector.  Fully deterministic given the rng seed.
     """
@@ -410,7 +423,7 @@ def generate_synthetic_corpus(rng: Rng, n_images: int, spec: SynthSpec = SynthSp
     pairs = []
     for image_id, topic, vec in zip(image_ids, topics, features):
         vec[topic] = 1.0
-        vec[:spec.n_topics] += rng.uniform(-spec.feature_noise, spec.feature_noise, spec.n_topics)
+        vec[:spec.n_topics] += rng.uniform(-0.1, 0.1, spec.n_topics)
         if spec.noise_dim:
             vec[spec.n_topics:] = rng.uniform(-0.5, 0.5, spec.noise_dim)
 
@@ -439,6 +452,6 @@ def generate_synthetic_corpus(rng: Rng, n_images: int, spec: SynthSpec = SynthSp
             split_map[image_id] = "test"
 
     train_texts = [text for image_id, text in pairs if split_map[image_id] == "train"]
-    vocab = build_vocabulary(train_texts, min_count=spec.min_count)
+    vocab = build_vocabulary(train_texts)
     dataset = build_dataset(pairs, split_map, vocab)
     return dataset, store, vocab

@@ -29,7 +29,7 @@ def _ngrams(tokens, n: int) -> Counter:
 
 
 def bleu(candidates: list[list], references: list[list[list]],
-         n_max: int = 3, cumulative: bool = True) -> BleuScore:
+         cumulative: bool = True) -> BleuScore:
     """Corpus-level BLEU with clipped modified n-gram precision.
 
     ``references[i]`` is the list of reference sentences for candidate i.
@@ -40,8 +40,8 @@ def bleu(candidates: list[list], references: list[list[list]],
     """
     if len(candidates) != len(references) or not candidates:
         raise ValueError("candidates and references must align and be non-empty")
-    matched = np.zeros(n_max)
-    total = np.zeros(n_max)
+    matched = np.zeros(3)
+    total = np.zeros(3)
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(candidates, references):
@@ -50,7 +50,7 @@ def bleu(candidates: list[list], references: list[list[list]],
         cand_len += len(cand)
         # Effective reference length: closest to the candidate, shorter on ties.
         ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
-        for n in range(1, n_max + 1):
+        for n in range(1, 4):
             counts = _ngrams(cand, n)
             limits = Counter()
             for ref in refs:
@@ -59,17 +59,16 @@ def bleu(candidates: list[list], references: list[list[list]],
             matched[n - 1] += sum(min(c, limits[gram]) for gram, c in counts.items())
             total[n - 1] += sum(counts.values())
 
-    precisions = [matched[n] / total[n] if total[n] else 0.0 for n in range(n_max)]
+    precisions = [matched[n] / total[n] if total[n] else 0.0 for n in range(3)]
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
     scores = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 4):
         ps = precisions[:n] if cumulative else [precisions[n - 1]]
         if min(ps) == 0.0:
             scores.append(0.0)
         else:
             scores.append(bp * math.exp(sum(math.log(p) for p in ps) / len(ps)))
-    scores += [0.0] * (3 - len(scores))
-    return BleuScore(*scores[:3])
+    return BleuScore(*scores)
 
 
 def corpus_perplexity(params: ModelParams, examples: list[CaptionedExample],
@@ -93,18 +92,24 @@ class RecallCurve:
     points: list[tuple[float, float]]
 
 
-def _ranked_candidates(scores_row: np.ndarray, candidate_ids: list) -> list[int]:
-    """Column indices ordered by descending score, candidate id on ties."""
-    return sorted(range(len(candidate_ids)),
-                  key=lambda j: (-scores_row[j], candidate_ids[j]))
+def _ranked_hits(scores: np.ndarray, groundtruth: dict[int, set],
+                 candidate_ids: list | None) -> np.ndarray:
+    """(queries, candidates) bools: is the candidate at each rank groundtruth?
 
-
-def first_groundtruth_rank(scores_row: np.ndarray, gt: set, candidate_ids: list) -> int:
-    order = _ranked_candidates(scores_row, candidate_ids)
-    for pos, j in enumerate(order, start=1):
-        if candidate_ids[j] in gt:
-            return pos
-    raise ValueError("query has no groundtruth candidate in the candidate set")
+    Every row is ranked at once by descending score, then ascending candidate
+    id, so a tie never favours the groundtruth and a ``-inf`` score ranks last.
+    """
+    n_q, n_c = scores.shape
+    if candidate_ids is None:
+        candidate_ids = list(range(n_c))
+    column = {cid: j for j, cid in enumerate(candidate_ids)}
+    is_gt = np.zeros((n_q, n_c), dtype=bool)
+    for q in range(n_q):
+        is_gt[q, [column[c] for c in groundtruth[q] if c in column]] = True
+    id_rank = np.empty(n_c, dtype=np.intp)
+    id_rank[sorted(range(n_c), key=candidate_ids.__getitem__)] = np.arange(n_c)
+    order = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores), axis=1)
+    return np.take_along_axis(is_gt, order, axis=1)
 
 
 def retrieval_eval(scores: np.ndarray, groundtruth: dict[int, set],
@@ -116,12 +121,11 @@ def retrieval_eval(scores: np.ndarray, groundtruth: dict[int, set],
     ``groundtruth`` maps query row -> set of candidate ids.  The median is
     the lower median, so it is always an attained integer rank.
     """
-    scores = np.asarray(scores)
-    n_q, n_c = scores.shape
-    if candidate_ids is None:
-        candidate_ids = list(range(n_c))
-    ranks = [first_groundtruth_rank(scores[q], groundtruth[q], candidate_ids)
-             for q in range(n_q)]
+    hits = _ranked_hits(np.asarray(scores), groundtruth, candidate_ids)
+    if not hits.any(axis=1).all():
+        raise ValueError("query has no groundtruth candidate in the candidate set")
+    ranks = (hits.argmax(axis=1) + 1).tolist()
+    n_q = len(ranks)
     r_at = {k: 100.0 * sum(r <= k for r in ranks) / n_q for k in ks}
     med_r = sorted(ranks)[(n_q - 1) // 2]
     return RetrievalMetrics(r_at, med_r, ranks)
@@ -131,20 +135,13 @@ def recall_curve(scores: np.ndarray, groundtruth: dict[int, set],
                  fractions: list[float],
                  candidate_ids: list | None = None) -> RecallCurve:
     """Mean number of groundtruth items inside the top ceil(f * C) retrieved."""
-    scores = np.asarray(scores)
-    n_q, n_c = scores.shape
-    if candidate_ids is None:
-        candidate_ids = list(range(n_c))
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
-    points = []
-    orders = [_ranked_candidates(scores[q], candidate_ids) for q in range(n_q)]
-    for f in fractions:
-        top = math.ceil(f * n_c)
-        mean = sum(sum(candidate_ids[j] in groundtruth[q] for j in orders[q][:top])
-                   for q in range(n_q)) / n_q
-        points.append((f, mean))
-    return RecallCurve(points)
+    hits = _ranked_hits(np.asarray(scores), groundtruth, candidate_ids)
+    n_q, n_c = hits.shape
+    # found[t]: groundtruth items inside the top t, summed over the queries
+    found = [0] + np.cumsum(hits.sum(axis=0)).tolist()
+    return RecallCurve([(f, found[math.ceil(f * n_c)] / n_q) for f in fractions])
 
 
 def shortlist(query_ids: list[str], store: ImageFeatureStore, size: int = 100,

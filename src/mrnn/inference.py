@@ -1,8 +1,8 @@
-"""Sentence generation, perplexity scoring and the two retrieval directions.
+"""Sentence generation and perplexity scoring.
 
-All operations are pure given read-only parameters.  Rankings break ties by
-candidate id so results never depend on input order.  Every image-scoring
-path goes through one engine, ``log2prob_matrix``.
+All operations are pure given read-only parameters.  Every image-scoring
+path goes through one engine, ``log2prob_matrix``; ``evaluation`` ranks its
+scores in both retrieval directions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import END_INDEX, START_INDEX, ImageFeatureStore, Vocabulary
+from .corpus import END_INDEX, START_INDEX, Vocabulary
 from .model import (LN2, ModelParams, forward_sentence, forward_step, output_logits,
                     sentence_inputs_targets, sentence_layers)
 from .numerics import Rng, log_softmax, scaled_tanh
@@ -42,16 +42,6 @@ class GenerationConfig:
             raise ValueError(f"unknown generation mode {self.mode!r}")
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
-
-
-@dataclass
-class RetrievalResult:
-    """Ranked (candidate id, score) pairs; best candidate first."""
-    direction: str
-    ranked: list[tuple]
-
-    def ids(self) -> list:
-        return [cid for cid, _ in self.ranked]
 
 
 def _pick(y: np.ndarray, mode: str, rng: Rng | None, ban_end: bool) -> int:
@@ -167,18 +157,6 @@ def normalized_log2prob_matrix(params: ModelParams, token_lists: list[list[int]]
     return logs[:, :n_query] - marginals[:, None]
 
 
-def retrieve_images(params: ModelParams, query_tokens: list[int],
-                    store: ImageFeatureStore) -> RetrievalResult:
-    """Rank all stored images by perplexity with the query sentence (low = good)."""
-    if len(store) == 0:
-        raise ValueError("feature store is empty")
-    ids = store.ids()
-    log2p = log2prob_matrix(params, [query_tokens], store.matrix())[0]
-    ppl = 2.0 ** (-log2p / (len(query_tokens) + 1))
-    scored = sorted(zip(ids, ppl.tolist()), key=lambda pair: (pair[1], pair[0]))
-    return RetrievalResult("text_to_image", scored)
-
-
 def log2_sum_exp2(values) -> np.ndarray:
     """log2(sum(2**v)) along the last axis, computed stably."""
     return np.logaddexp2.reduce(np.asarray(values, dtype=np.float64), axis=-1)
@@ -195,21 +173,3 @@ def marginal_log2prob(params: ModelParams, tokens: list[int],
         raise ValueError("norm_images must be non-empty")
     logs = log2prob_matrix(params, [tokens], np.vstack(norm_images))[0]
     return float(log2_sum_exp2(logs) - math.log2(len(norm_images)))
-
-
-def retrieve_sentences(params: ModelParams, query_feature, candidates: list[list[int]],
-                       norm_images: list[np.ndarray],
-                       candidate_ids: list | None = None) -> RetrievalResult:
-    """Rank candidate sentences for one image by normalized probability.
-
-    The score is ``normalized_log2prob_matrix``'s conditioning gain.
-    Higher is better.
-    """
-    if not candidates:
-        raise ValueError("no candidate sentences")
-    if candidate_ids is None:
-        candidate_ids = list(range(len(candidates)))
-    scores = normalized_log2prob_matrix(params, candidates, np.atleast_2d(query_feature),
-                                        norm_images)[:, 0]
-    scored = sorted(zip(candidate_ids, scores.tolist()), key=lambda pair: (-pair[1], pair[0]))
-    return RetrievalResult("image_to_text", scored)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import END_INDEX, START_INDEX, Vocabulary
+from .corpus import END_INDEX, START_INDEX, Vocabulary, check_length, read_exact
 from .numerics import (Rng, init_matrix, matvec, relu, scaled_tanh,
                        scaled_tanh_grad_from_output, sigmoid, softmax)
 
@@ -146,9 +146,6 @@ class ModelParams:
         """Sum of squares over weight matrices only (biases excluded)."""
         return sum(float(np.sum(a * a)) for n, a in self.arrays.items()
                    if not n.startswith("b_"))
-
-    def allclose(self, other: "ModelParams", **kw) -> bool:
-        return all(np.allclose(self.arrays[n], other.arrays[n], **kw) for n in self.arrays)
 
 
 Gradients = ModelParams
@@ -368,36 +365,30 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    def read(fh, n: int, what: str) -> bytes:
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise ValueError(f"truncated checkpoint while reading {what}")
-        return buf
-
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint (bad magic)")
-        version, variant_code, dtype_code = struct.unpack("<IBB", read(fh, 6, "header"))
+        version, variant_code, dtype_code = struct.unpack("<IBB", read_exact(fh, 6, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         if variant_code >= len(VARIANTS):
             raise ValueError(f"unknown variant code {variant_code} in checkpoint header")
         if dtype_code not in _CODE_DTYPES:
             raise ValueError(f"unknown dtype code {dtype_code} in checkpoint header")
-        m, d_e1, d_e2, d_r, d_m, d_i = struct.unpack("<6I", read(fh, 24, "config"))
+        m, d_e1, d_e2, d_r, d_m, d_i = struct.unpack("<6I", read_exact(fh, 24, "config"))
         cfg = ModelConfig(vocab_size=m, d_i=d_i, variant=VARIANTS[variant_code],
                           d_e1=d_e1, d_e2=d_e2, d_r=d_r, d_m=d_m)
         dtype = _CODE_DTYPES[dtype_code]
-        (n_arrays,) = struct.unpack("<I", read(fh, 4, "array count"))
+        (n_arrays,) = struct.unpack("<I", read_exact(fh, 4, "array count"))
         arrays = {}
         for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", read(fh, 2, "array name"))
-            name = read(fh, name_len, "array name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", read(fh, 1, name))
-            shape = struct.unpack(f"<{ndim}I", read(fh, 4 * ndim, name))
-            count = int(np.prod(shape))
-            buf = read(fh, 8 * count, name)
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(dtype)
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2, "array name"))
+            name = read_exact(fh, name_len, "array name").decode("utf-8")
+            (ndim,) = struct.unpack("<B", read_exact(fh, 1, name))
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, name))
+            check_length(fh, 8 * math.prod(shape), f"array {name} of shape {shape}")
+            arrays[name] = read_exact(fh, np.empty(shape, dtype="<f8"), name).astype(
+                dtype, copy=False)
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"{path}: array {name} has NaN or infinite entries")
         if fh.read(1):

@@ -182,6 +182,14 @@ def block_rel_err(analytic, numeric):
     return 0.0 if denom == 0 else float(np.linalg.norm(analytic - numeric)) / denom
 
 
+def _first_shape(blob, *words):
+    """The checkpoint with the leading shape words of its first array replaced."""
+    # 38 header bytes (magic, version, variant, dtype, six dims, array count),
+    # then the first array's u16 name length, name, u8 ndim and u32 shape words
+    at = 38 + 2 + struct.unpack_from("<H", blob, 38)[0] + 1
+    return blob[:at] + struct.pack(f"<{len(words)}I", *words) + blob[at + 4 * len(words):]
+
+
 # Header layout: 4-byte magic, u32 version, u8 variant code, u8 dtype code.
 # The file ends with the payload of the last array (b_out), little-endian f8.
 CORRUPTIONS = {
@@ -189,6 +197,9 @@ CORRUPTIONS = {
     "dtype": lambda blob: blob[:9] + bytes([9]) + blob[10:],
     "trailing": lambda blob: blob + b"\x00",
     "nan": lambda blob: blob[:-8] + struct.pack("<d", math.nan),
+    # declared lengths far past the end of the file
+    "huge_shape": lambda blob: _first_shape(blob, 0x7FFFFFFF),
+    "overflow_shape": lambda blob: _first_shape(blob, 0xFFFFFFFF, 0xFFFFFFFF),
 }
 
 
@@ -207,3 +218,9 @@ def write_mrnf(path, entries, dim):
         raw = image_id.encode("utf-8")
         blob += struct.pack("<H", len(raw)) + raw + np.asarray(values, "<f4").tobytes()
     path.write_bytes(blob)
+
+
+def with_mrnf_dim(blob, dim):
+    """A binary feature file with its header's dimension replaced."""
+    # 4-byte magic, u32 version, u64 count, then the u32 dimension
+    return blob[:16] + struct.pack("<I", dim) + blob[20:]

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import corrupt_checkpoint, randomize_biases, write_mrnf
+from helpers import corrupt_checkpoint, randomize_biases, with_mrnf_dim, write_mrnf
 from mrnn import cli
 from mrnn.cli import _retrieval_scores, build_parser, resolve_settings
 from mrnn.corpus import (CaptionedExample, DatasetSplit, ImageFeatureStore, SynthSpec,
@@ -324,14 +324,13 @@ class TestEval:
                            "--norm-images", "5")
             assert f"{direction} R@1" in proc.stdout
 
-    def test_retrieval_threads_identical_metrics(self, workspace, tmp_path):
+    def test_retrieval_rerun_identical_metrics(self, workspace, tmp_path):
         blobs = []
-        for threads, sub in (("1", "t1"), ("8", "t8")):
+        for sub in ("r1", "r2"):
             out = tmp_path / sub
             run_cli("eval", "retrieval", "--direction", "i2t",
                     *eval_args(workspace), "--subset", "train",
-                    "--norm-images", "5", "--threads", threads,
-                    "--out", str(out))
+                    "--norm-images", "5", "--out", str(out))
             blobs.append((out / "metrics.json").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -388,7 +387,8 @@ class TestEval:
                        "--subset", "train", check=False)
         assert proc.returncode != 0  # no split file: everything lands in test
 
-    @pytest.mark.parametrize("kind", ["variant", "dtype", "trailing", "nan"])
+    @pytest.mark.parametrize("kind", ["variant", "dtype", "trailing", "nan",
+                                      "huge_shape", "overflow_shape"])
     def test_corrupt_checkpoint_is_one_error_line(self, workspace, tmp_path, kind):
         good = tmp_path / "m.mrnm"
         good.write_bytes((workspace["run"] / "checkpoint.mrnm").read_bytes())
@@ -398,6 +398,17 @@ class TestEval:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_oversized_feature_dimension_is_one_error_line(self, workspace, tmp_path):
+        blob = (workspace["data"] / "features.mrnf").read_bytes()
+        (tmp_path / "big.mrnf").write_bytes(with_mrnf_dim(blob, 0xFFFFFFF0))
+        args = eval_args(workspace, "--subset", "test")
+        args[args.index("--features") + 1] = str(tmp_path / "big.mrnf")
+        proc = run_cli("eval", "ppl", *args, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "big.mrnf: truncated" in proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from helpers import write_mrnf
+from helpers import with_mrnf_dim, write_mrnf
 from mrnn.corpus import (END_INDEX, START_INDEX, UNK_INDEX, FeatureFileError,
                          ImageFeatureStore, SynthSpec, Vocabulary,
                          build_dataset, build_vocabulary,
@@ -203,6 +203,15 @@ class TestFeatureStore:
         with pytest.raises(FeatureFileError, match="truncated"):
             load_features(tmp_path / "cut.mrnf")
 
+    def test_oversized_dimension_is_named_error(self, tmp_path):
+        # 5 declared vectors of 2**32 - 16 floats: refused before any allocation
+        save_features(small_store(), tmp_path / "f.mrnf")
+        (tmp_path / "big.mrnf").write_bytes(
+            with_mrnf_dim((tmp_path / "f.mrnf").read_bytes(), 0xFFFFFFF0))
+        with pytest.raises(FeatureFileError,
+                           match=r"big\.mrnf: truncated: 5 vectors of dimension 4294967280"):
+            load_features(tmp_path / "big.mrnf")
+
     def test_tsv_dimension_mismatch(self, tmp_path):
         (tmp_path / "f.tsv").write_text("a\t1.0\t2.0\nb\t1.0\n")
         with pytest.raises(FeatureFileError, match="dimension"):
@@ -276,8 +285,7 @@ class TestSyntheticCorpus:
             generate_synthetic_corpus(Rng(0), 1)
 
     @pytest.mark.parametrize("field, value", [
-        ("n_topics", 0), ("n_topics", -2), ("captions_per_image", 0), ("min_count", 0),
-        ("noise_dim", -1), ("feature_noise", -0.1), ("feature_noise", float("nan")),
+        ("n_topics", 0), ("n_topics", -2), ("captions_per_image", 0), ("noise_dim", -1),
         ("train_frac", 1.5), ("train_frac", -0.1), ("val_frac", -0.1),
         ("val_frac", float("nan")),
     ])

@@ -145,6 +145,24 @@ class TestCorpusPerplexity:
             corpus_perplexity(self.zero_params(), [example("im0", [3, 4])], None)
 
 
+def tied_masked_fixture():
+    """Scores over unsorted string candidate ids, with exact ties and with
+    ``-inf`` entries (what an i2t shortlist mask writes).
+
+    Query 0 ties everywhere, query 1 has every groundtruth masked, and the
+    rest draw from three values, a quarter of them masked.
+    """
+    cids = ["s07", "s02", "s11", "s00", "s05", "s09", "s01", "s10"]
+    rng = Rng(17)
+    scores = np.array([[float(rng.randint(3)) for _ in cids] for _ in range(8)])
+    scores[rng.uniform(0, 1, scores.size).reshape(scores.shape) < 0.25] = -np.inf
+    scores[0] = 1.0
+    scores[1] = [-np.inf, 2.0, -np.inf, 0.5, 2.0, -np.inf, 0.5, 1.0]
+    gt = {q: {cids[(3 * q) % 8], cids[(5 * q + 2) % 8]} for q in range(8)}
+    gt[1] = {"s07", "s11"}
+    return scores, gt, cids
+
+
 class TestRetrievalEval:
     def test_oracle_scores(self):
         scores = np.array([[9.0, 1, 2], [1, 9, 2], [2, 1, 9]])
@@ -192,6 +210,18 @@ class TestRetrievalEval:
         metrics = retrieval_eval(scores, {0: {2}}, ks=(1, 3))
         assert metrics.ranks == [3]
 
+    def test_ties_and_masked_scores_match_rank_oracle(self):
+        scores, gt, cids = tied_masked_fixture()
+        metrics = retrieval_eval(scores, gt, ks=(1, 2, 5), candidate_ids=cids)
+        expected = [oracle_first_rank(scores[q], gt[q], cids) for q in range(len(scores))]
+        assert metrics.ranks == expected
+        assert expected[0] == 5  # all tied: s00, s01, s02, s05 come before "s07"
+        assert expected[1] == 6  # masked groundtruth ranks after all five finite scores
+        assert metrics.med_r == sorted(expected)[(len(expected) - 1) // 2]
+        assert metrics.r_at == {k: 100.0 * sum(r <= k for r in expected) / len(expected)
+                                for k in (1, 2, 5)}
+        assert all(type(r) is int for r in metrics.ranks + [metrics.med_r])
+
     def test_missing_groundtruth_errors(self):
         with pytest.raises(ValueError, match="groundtruth"):
             retrieval_eval(np.ones((1, 3)), {0: {"nope"}})
@@ -233,6 +263,21 @@ class TestRecallCurve:
                 order = sorted(range(n_c), key=lambda j: (-scores[q, j], j))
                 total += sum(1 for j in order[:top] if j in gt[q])
             assert mean == pytest.approx(total / n_q)
+
+    def test_ties_and_masked_scores_match_brute_force(self):
+        scores, gt, cids = tied_masked_fixture()
+        fractions = [0.1, 0.25, 0.5, 0.8, 1.0]
+        curve = recall_curve(scores, gt, fractions, candidate_ids=cids)
+        expected = []
+        for f in fractions:
+            top = math.ceil(f * len(cids))
+            total = 0
+            for q in range(len(scores)):
+                order = sorted(range(len(cids)), key=lambda j: (-scores[q, j], cids[j]))
+                total += sum(1 for j in order[:top] if cids[j] in gt[q])
+            expected.append((f, total / len(scores)))
+        assert curve.points == expected
+        assert all(type(mean) is float for _, mean in curve.points)
 
     def test_monotone_nondecreasing(self):
         rng = Rng(14)

@@ -5,10 +5,10 @@ import pytest
 
 from helpers import randomize_biases
 from mrnn import inference
-from mrnn.corpus import ImageFeatureStore, build_vocabulary
+from mrnn.corpus import build_vocabulary
 from mrnn.inference import (GenerationConfig, generate, log2_sum_exp2,
-                            log2prob_matrix, marginal_log2prob, retrieve_images,
-                            retrieve_sentences, sentence_log2prob)
+                            log2prob_matrix, marginal_log2prob,
+                            normalized_log2prob_matrix, sentence_log2prob)
 from mrnn.model import ModelConfig, ModelParams
 from mrnn.numerics import Rng
 
@@ -143,82 +143,26 @@ class TestLog2ProbMatrix:
             log2prob_matrix(baseline, [[3]], np.zeros((2, 3)))
 
 
-class TestRetrieveImages:
-    def make_store(self, n=4):
-        return ImageFeatureStore([f"im{i}" for i in range(n)],
-                                 Rng(50).uniform(-1, 1, 3 * n).reshape(n, 3))
-
-    def test_single_image_rank_one(self):
-        store = ImageFeatureStore(["only"], [FEAT])
-        result = retrieve_images(make_params(1), VOCAB.encode("sand waves"), store)
-        assert result.ranked[0][0] == "only"
-
-    def test_sorted_ascending_perplexity(self):
-        result = retrieve_images(make_params(2), [3, 4, 5], self.make_store())
-        ppls = [s for _, s in result.ranked]
-        assert ppls == sorted(ppls)
-
-    def test_insertion_order_irrelevant(self):
-        store_a = self.make_store()
-        ids = store_a.ids()[::-1]
-        store_b = ImageFeatureStore(ids, store_a.matrix(ids))
-        params = make_params(3)
-        ra = retrieve_images(params, [4, 5], store_a)
-        rb = retrieve_images(params, [4, 5], store_b)
-        assert ra.ranked == rb.ranked
-
-    def test_empty_store(self):
-        with pytest.raises(ValueError):
-            retrieve_images(make_params(), [3], ImageFeatureStore([], np.zeros((0, 3))))
-
-
-class TestRetrieveSentences:
+class TestNormalizedLog2ProbMatrix:
     CANDS = [[3, 4], [5, 6, 7], [8, 9]]
 
     def test_norm_by_query_itself_gives_zero_scores(self):
-        params = make_params(8)
-        result = retrieve_sentences(params, FEAT, self.CANDS, [FEAT])
-        for cid, score in result.ranked:
-            assert score == pytest.approx(0.0, abs=1e-12)
-        assert result.ids() == [0, 1, 2]  # degenerate ranking = id tie-break
+        scores = normalized_log2prob_matrix(make_params(8), self.CANDS, [FEAT], [FEAT])
+        assert scores.shape == (3, 1)
+        np.testing.assert_allclose(scores, 0.0, rtol=0, atol=1e-12)
 
     def test_single_norm_image_is_log_ratio(self):
         params = make_params(9)
         other = Rng(60).uniform(-1, 1, 3)
-        result = retrieve_sentences(params, FEAT, self.CANDS, [other])
-        for cid, score in result.ranked:
-            lq, _ = sentence_log2prob(params, self.CANDS[cid], FEAT)
-            lo, _ = sentence_log2prob(params, self.CANDS[cid], other)
+        scores = normalized_log2prob_matrix(params, self.CANDS, [FEAT], [other])
+        for tokens, score in zip(self.CANDS, scores[:, 0]):
+            lq, _ = sentence_log2prob(params, tokens, FEAT)
+            lo, _ = sentence_log2prob(params, tokens, other)
             assert score == pytest.approx(lq - lo, abs=1e-9)
 
-    def test_descending_scores(self):
-        params = make_params(10)
-        norm = [Rng(61).uniform(-1, 1, 3) for _ in range(3)]
-        result = retrieve_sentences(params, FEAT, self.CANDS, norm)
-        scores = [s for _, s in result.ranked]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_adding_constant_preserves_order(self):
-        params = make_params(11)
-        norm = [Rng(62).uniform(-1, 1, 3) for _ in range(2)]
-        result = retrieve_sentences(params, FEAT, self.CANDS, norm)
-        shifted = sorted(((cid, s + 100.0) for cid, s in result.ranked),
-                         key=lambda p: (-p[1], p[0]))
-        assert [c for c, _ in shifted] == result.ids()
-
     def test_empty_norm_images_error(self):
-        with pytest.raises(ValueError):
-            retrieve_sentences(make_params(), FEAT, self.CANDS, [])
-
-    def test_empty_candidates_error(self):
-        with pytest.raises(ValueError):
-            retrieve_sentences(make_params(), FEAT, [], [FEAT])
-
-    def test_custom_candidate_ids(self):
-        params = make_params(12)
-        result = retrieve_sentences(params, FEAT, self.CANDS, [FEAT],
-                                    candidate_ids=["c", "a", "b"])
-        assert result.ids() == ["a", "b", "c"]  # all scores 0 -> id order
+        with pytest.raises(ValueError, match="norm_images"):
+            normalized_log2prob_matrix(make_params(), self.CANDS, [FEAT], [])
 
 
 class TestLogSumExp:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -298,6 +300,18 @@ class TestCheckpoint:
         (tmp_path / "cut.mrnm").write_bytes(blob[:-100])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(tmp_path / "cut.mrnm")
+
+    @pytest.mark.parametrize("kind, shape", [
+        pytest.param("huge_shape", (2147483647, 4), id="huge_shape"),
+        pytest.param("overflow_shape", (4294967295, 4294967295), id="overflow_shape"),
+    ])
+    def test_oversized_shape_is_named_error(self, tmp_path, kind, shape):
+        # refused before any allocation, and without an integer overflow
+        save_checkpoint(tiny_params(), tmp_path / "m.mrnm")
+        path = corrupt_checkpoint(tmp_path / "m.mrnm", kind)
+        with pytest.raises(ValueError, match=re.escape(f"{kind}.mrnm: truncated: array E1 "
+                                                       f"of shape {shape}")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("kind, match", [
         ("variant", "unknown variant code 7"),
