@@ -11,9 +11,10 @@ from .evaluation import (BleuScore, RecallCurve, RetrievalMetrics, bleu,
                          corpus_perplexity, generation_bleu, recall_curve,
                          retrieval_eval, shortlist)
 from .inference import GenerationConfig, generate, sentence_log2prob
-from .model import (ForwardTrace, Gradients, ModelConfig, ModelParams,
-                    backward_sentence, forward_sentence, forward_step,
-                    load_checkpoint, nearest_words, save_checkpoint)
+from .model import (ForwardTrace, Gradients, ModelConfig, ModelParams, Packing,
+                    backward_batch, backward_sentence, forward_batch,
+                    forward_sentence, forward_step, load_checkpoint,
+                    nearest_words, save_checkpoint)
 from .numerics import Rng, init_matrix, matvec, relu, scaled_tanh, sigmoid, softmax
 from .training import (TrainConfig, TrainReport, TrainingDiverged, cost,
                        gradient_check, train)
@@ -22,10 +23,10 @@ from .validation import NotFittedError
 __all__ = [
     "BleuScore", "CaptionedExample", "DatasetSplit", "ForwardTrace",
     "GenerationConfig", "Gradients", "ImageFeatureStore", "MRNNCaptioner",
-    "ModelConfig", "ModelParams", "NotFittedError", "RecallCurve",
+    "ModelConfig", "ModelParams", "NotFittedError", "Packing", "RecallCurve",
     "RetrievalMetrics", "Rng", "SynthSpec", "TrainConfig", "TrainReport",
-    "TrainingDiverged", "Vocabulary", "backward_sentence", "bleu",
-    "build_vocabulary", "corpus_perplexity", "cost", "forward_sentence",
+    "TrainingDiverged", "Vocabulary", "backward_batch", "backward_sentence", "bleu",
+    "build_vocabulary", "corpus_perplexity", "cost", "forward_batch", "forward_sentence",
     "forward_step", "generate", "generate_synthetic_corpus", "generation_bleu",
     "gradient_check", "init_matrix", "load_checkpoint", "load_features",
     "matvec", "nearest_words", "recall_curve", "relu", "retrieval_eval",

@@ -13,13 +13,18 @@ A sentence with L content tokens unrolls into L+1 timesteps: step t consumes
 input token t-1 (the start sign at t=1) and predicts token t, with the end
 sign as the final target.  Parameters are shared across timesteps, and the
 backward pass propagates through every step (no truncation).
+
+The forward and backward passes run on a batch of sentences packed into
+one time-major array (``Packing``), so every layer and every weight
+gradient is one matrix product over the batch's positions; only the
+recurrent carry loops, over the steps.  One sentence is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,16 +156,59 @@ class ModelParams:
 Gradients = ModelParams
 
 
+@dataclass(frozen=True)
+class Packing:
+    """Where the steps of B sequences sit in one time-major (P, d) array.
+
+    The sequences are ordered longest first (a stable sort), so the ones
+    still running at step t are a prefix of the ones running at step t-1.
+    Step t's rows are ``offsets[t]:offsets[t+1]``, one per running sequence
+    in that order.  There is no padding: P is the sum of the lengths.  One
+    sequence packs to its own steps in order.
+    """
+    offsets: np.ndarray  # (T_max + 1,) first row of each step
+    sent: np.ndarray     # (P,) batch index of each row's sequence
+    source: np.ndarray   # (P,) each row's index in the sequences' concatenation
+    prev: np.ndarray     # (P,) row of ``ForwardTrace.r`` holding each row's previous state
+
+    @classmethod
+    def of(cls, lengths) -> "Packing":
+        if len(lengths) == 1:
+            # one sentence (the retrieval engine packs one at a time) skips the
+            # sort and costs about a tenth of the general path
+            steps = np.arange(lengths[0])
+            return cls(offsets=np.arange(lengths[0] + 1), sent=np.zeros_like(steps),
+                       source=steps, prev=steps)
+        lengths = np.asarray(lengths, dtype=np.intp)
+        order = np.argsort(-lengths, kind="stable")
+        steps, rank = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
+        offsets = np.searchsorted(steps, np.arange(lengths.max() + 1))
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        sent = order[rank]
+        return cls(offsets=offsets, sent=sent, source=starts[sent] + steps,
+                   prev=np.where(steps > 0, offsets[steps - 1] + rank + 1, 0))
+
+    def pack(self, sequences) -> np.ndarray:
+        """The B sequences of word indices as one array in packed row order."""
+        return np.concatenate(sequences).astype(np.intp, copy=False)[self.source]
+
+
 @dataclass
 class ForwardTrace:
-    """One sentence's forward activations, one row per timestep.
+    """The forward activations of B sentences, packed time-major (``Packing``).
 
-    ``r`` has T+1 rows: row 0 is the zero initial state r(0) and row t+1
-    the state after consuming ``inputs[t]``.  ``e1``, ``e2`` and ``m`` stay
-    None for the baseline variant.
+    Row i of ``inputs``, ``targets``, ``e1``, ``e2``, ``m`` and ``y`` is one
+    timestep of one sentence; for one sentence the rows are its timesteps in
+    order.  ``r`` has P+1 rows: row 0 is the zero initial state and row i+1
+    the state after consuming ``inputs[i]``.  ``feats`` holds the B image
+    features.  ``e1``, ``e2``, ``m`` and ``feats`` stay None for the
+    baseline variant.
     """
     inputs: np.ndarray
     r: np.ndarray
+    packing: Packing
+    targets: np.ndarray | None = None
+    feats: np.ndarray | None = None
     e1: np.ndarray | None = None
     e2: np.ndarray | None = None
     m: np.ndarray | None = None
@@ -215,16 +263,18 @@ def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
     return y, r
 
 
-def sentence_layers(params: ModelParams, inputs) -> tuple[ForwardTrace, np.ndarray | None]:
-    """The layers below the image, over all T input words of a sentence at once.
+def packed_layers(params: ModelParams, inputs: np.ndarray,
+                  packing: Packing) -> tuple[ForwardTrace, np.ndarray | None]:
+    """The layers below the image over packed input words.
 
-    Returns a trace with ``inputs``, ``r``, ``e1`` and ``e2`` filled, and the
-    image-free multimodal pre-activation ``e2 . V_w + r . V_r + b_m``, (T, d_m)
-    (None for the baseline): adding ``V_I . I`` gives it for image I.  Only
-    the carry through the recurrent weight is sequential.
+    Returns a trace with ``inputs``, ``r``, ``packing``, ``e1`` and ``e2``
+    filled, and the image-free multimodal pre-activation
+    ``e2 . V_w + r . V_r + b_m``, (P, d_m) (None for the baseline): adding
+    ``V_I . I`` gives it for image I.  Each layer is one matrix product over
+    the P rows; only the carry through the recurrent weight is a loop, over
+    the steps, with one row per sentence still running.
     """
     cfg = params.config
-    inputs = np.asarray(inputs, dtype=np.intp)
     bad = inputs[(inputs < 0) | (inputs >= cfg.vocab_size)]
     if bad.size:
         raise IndexError(f"word index {bad[0]} out of range for M={cfg.vocab_size}")
@@ -236,12 +286,21 @@ def sentence_layers(params: ModelParams, inputs) -> tuple[ForwardTrace, np.ndarr
         e2 = relu(e1 @ params["E2"].T + params["b_e2"])
         drive, weight, activation = e2 @ params["W_in"].T + params["b_r"], params["U_r"], relu
     r = np.zeros((len(inputs) + 1, cfg.d_r), dtype=params.dtype)
-    for t, x in enumerate(drive):
-        r[t + 1] = activation(matvec(weight, r[t]) + x)
+    offsets = packing.offsets.tolist()
+    state, weight_t = np.zeros((offsets[1], cfg.d_r), dtype=params.dtype), weight.T
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        state = activation(state[:hi - lo] @ weight_t + drive[lo:hi])
+        r[lo + 1:hi + 1] = state
     if cfg.variant == "baseline":
-        return ForwardTrace(inputs, r), None
+        return ForwardTrace(inputs, r, packing), None
     m_base = e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
-    return ForwardTrace(inputs, r, e1, e2), m_base
+    return ForwardTrace(inputs, r, packing, e1=e1, e2=e2), m_base
+
+
+def sentence_layers(params: ModelParams, inputs) -> tuple[ForwardTrace, np.ndarray | None]:
+    """``packed_layers`` for the T input words of one sentence."""
+    inputs = np.asarray(inputs, dtype=np.intp)
+    return packed_layers(params, inputs, Packing.of([len(inputs)]))
 
 
 def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
@@ -258,47 +317,76 @@ def sentence_inputs_targets(tokens: list[int]) -> tuple[list[int], list[int]]:
     return [START_INDEX] + list(tokens), list(tokens) + [END_INDEX]
 
 
-def forward_sentence(params: ModelParams, tokens: list[int],
-                     image_feature: np.ndarray | None) -> ForwardTrace:
-    """Run the unrolled network over a whole sentence; r(0) is the zero vector."""
-    inputs, _ = sentence_inputs_targets(tokens)
-    trace, m_base = sentence_layers(params, inputs)
-    if params.config.variant == "baseline":
+def forward_batch(params: ModelParams, token_lists: list[list[int]],
+                  image_features: np.ndarray | None) -> ForwardTrace:
+    """Run the unrolled network over B sentences at once, packed time-major.
+
+    ``image_features`` is (B, d_i), row b for sentence b (ignored by the
+    baseline).  Every r(0) is the zero vector.
+    """
+    cfg = params.config
+    unrolled = [sentence_inputs_targets(tokens) for tokens in token_lists]
+    packing = Packing.of([len(inputs) for inputs, _ in unrolled])
+    trace, m_base = packed_layers(params, packing.pack([i for i, _ in unrolled]), packing)
+    trace.targets = packing.pack([t for _, t in unrolled])
+    if cfg.variant == "baseline":
         trace.y = softmax(trace.r[1:] @ params["V"].T + params["b_out"])
-    else:
-        trace.m = scaled_tanh(m_base + params["V_I"] @ _image_feature(params, image_feature))
-        trace.y = softmax(output_logits(params, trace.m))
+        return trace
+    feats = np.asarray(image_features, dtype=params.dtype)
+    if feats.shape != (len(token_lists), cfg.d_i):
+        raise ValueError(f"image features have shape {feats.shape}, "
+                         f"expected ({len(token_lists)}, {cfg.d_i})")
+    trace.feats = feats
+    trace.m = scaled_tanh(m_base + (feats @ params["V_I"].T)[packing.sent])
+    trace.y = softmax(output_logits(params, trace.m))
     return trace
 
 
-def backward_sentence(params: ModelParams, trace: ForwardTrace, targets: list[int],
-                      image_feature: np.ndarray | None) -> tuple[Gradients, float]:
-    """Exact loss gradients for one sentence, accumulated through time.
+def forward_sentence(params: ModelParams, tokens: list[int],
+                     image_feature: np.ndarray | None) -> ForwardTrace:
+    """``forward_batch`` for one sentence; r(0) is the zero vector."""
+    if params.config.variant == "baseline":
+        return forward_batch(params, [tokens], None)
+    return forward_batch(params, [tokens], _image_feature(params, image_feature)[None])
 
-    The loss is the summed negative natural-log probability of the targets;
-    base-2 conversion happens at reporting boundaries.  Gradients flow
-    through the full recurrent chain back to t=1 (untruncated BPTT).  Each
-    weight gradient is one matrix product over the T steps; only the carry
-    back through the recurrent weight is a loop.
+
+def backward_batch(params: ModelParams, trace: ForwardTrace,
+                   weights) -> tuple[Gradients, float]:
+    """Exact gradients of the weighted loss of B sentences, through all time.
+
+    Sentence b's loss is its summed negative natural-log probability of the
+    targets, and ``weights[b]`` scales it; returns (gradients, weighted
+    loss).  Gradients flow through the full recurrent chain back to t=1
+    (untruncated BPTT).  Each sentence's output-error rows are scaled by
+    its weight first, so each weight gradient is one matrix product over
+    the P packed rows; only the carry back through the recurrent weight is
+    a loop, over the steps, with one row per sentence still running.
     """
-    if len(targets) != len(trace):
-        raise ValueError(f"{len(targets)} targets for a trace of length {len(trace)}")
     cfg = params.config
-    loss = -LN2 * trace.log2prob(targets)
+    packing = trace.packing
+    rows = np.arange(len(trace))
+    row_weight = np.asarray(weights, dtype=trace.y.dtype)[packing.sent]
+    with np.errstate(divide="ignore"):
+        loss = -LN2 * float(row_weight @ np.log2(trace.y[rows, trace.targets]))
     dlogit = trace.y.copy()
-    dlogit[np.arange(len(trace)), targets] -= 1.0
-    r, r_prev = trace.r[1:], trace.r[:-1]
+    dlogit[rows, trace.targets] -= 1.0
+    dlogit *= row_weight[:, None]
+    r, r_prev = trace.r[1:], trace.r[packing.prev]
     if cfg.variant == "baseline":
         weight = params["U"][:, cfg.vocab_size:]
         dr, act_grad = dlogit @ params["V"], r * (1.0 - r)
     else:
         dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(trace.m)
         weight, dr, act_grad = params["U_r"], dm_pre @ params["V_r"], r > 0
-    dr_pre = np.empty_like(dr)
-    carry = np.zeros(cfg.d_r, dtype=dr.dtype)
-    for t in range(len(trace) - 1, -1, -1):
-        dr_pre[t] = (dr[t] + carry) * act_grad[t]
-        carry = matvec(weight.T, dr_pre[t])
+    # dr becomes dr_pre in place: each step's carry lands on the previous
+    # step's rows of the same sentences, which are a prefix of that block
+    offsets = packing.offsets.tolist()
+    for t in range(len(offsets) - 2, -1, -1):
+        lo, hi = offsets[t], offsets[t + 1]
+        dr[lo:hi] *= act_grad[lo:hi]
+        if t:
+            dr[offsets[t - 1]:offsets[t - 1] + hi - lo] += dr[lo:hi] @ weight
+    dr_pre = dr
 
     if cfg.variant == "baseline":
         g_u = np.zeros_like(params["U"])
@@ -314,9 +402,25 @@ def backward_sentence(params: ModelParams, trace: ForwardTrace, targets: list[in
         "E1": g_e1, "E2": de2_pre.T @ trace.e1, "b_e2": de2_pre.sum(axis=0),
         "U_r": dr_pre.T @ r_prev, "W_in": dr_pre.T @ trace.e2, "b_r": dr_pre.sum(axis=0),
         "V_w": dm_pre.T @ trace.e2, "V_r": dm_pre.T @ r,
-        "V_I": np.outer(dm_pre.sum(axis=0), _image_feature(params, image_feature)),
+        "V_I": dm_pre.T @ trace.feats[packing.sent],
         "b_m": dm_pre.sum(axis=0), "W_out": dlogit.T @ trace.m, "b_out": dlogit.sum(axis=0),
     }), loss
+
+
+def backward_sentence(params: ModelParams, trace: ForwardTrace, targets: list[int],
+                      image_feature: np.ndarray | None) -> tuple[Gradients, float]:
+    """Exact gradients of one sentence's summed nat-log loss and that loss:
+    ``backward_batch`` for one sentence, with weight 1.
+
+    The loss is in natural-log units; base-2 conversion happens at
+    reporting boundaries.
+    """
+    if len(targets) != len(trace):
+        raise ValueError(f"{len(targets)} targets for a trace of length {len(trace)}")
+    feats = (None if params.config.variant == "baseline"
+             else _image_feature(params, image_feature)[None])
+    trace = replace(trace, targets=np.asarray(targets, dtype=np.intp), feats=feats)
+    return backward_batch(params, trace, [1.0])
 
 
 def nearest_words(params: ModelParams, vocab: Vocabulary, token: str, k: int) -> list[str]:

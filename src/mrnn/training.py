@@ -2,9 +2,10 @@
 
 The cost is the per-word average negative log2 probability over all
 predicted positions (content words plus the end sign) plus an L2 penalty
-on the weight matrices.  Gradients are computed by full BPTT per sentence,
-normalized per word, averaged over the batch and converted to base-2 units
-so a step descends exactly the reported cost.
+on the weight matrices.  Each minibatch takes one packed forward and one
+full-BPTT backward pass over all its sentences; each sentence's gradient is
+normalized per word and converted to base-2 units, and the batch gradient
+is their mean, so a step descends exactly the reported cost.
 """
 
 from __future__ import annotations
@@ -16,15 +17,20 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import DatasetSplit, CaptionedExample, ImageFeatureStore
-from .model import (LN2, Gradients, ModelConfig, ModelParams, backward_sentence,
-                    forward_sentence, sentence_inputs_targets)
+from .model import (LN2, Gradients, ModelConfig, ModelParams, backward_batch,
+                    backward_sentence, forward_batch, forward_sentence,
+                    sentence_inputs_targets)
 from .numerics import Rng
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
 
+# Sentences per packed forward pass in ``bits_per_word``.  Packs of 64 raised
+# the peak memory of a V~1000 training run from 70 to 98 MB.
+_SCORE_PACK = 16
+
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training cost stops being finite."""
+    """Raised when the gradient norm or the training cost stops being finite."""
 
 
 @dataclass
@@ -68,10 +74,19 @@ class TrainConfig:
 
 @dataclass
 class EpochRow:
+    """One epoch.  ``grad_norm_mean``/``grad_norm_max`` are over the norms of
+    the applied steps (after clipping), ``clip_frac`` is the share of steps
+    that clipping shortened, and ``positions_per_s`` counts the predicted
+    positions trained per second of the SGD steps (the end-of-epoch cost
+    and validation are not in it)."""
     epoch: int
     cost: float
     val_ppl: float | None
     seconds: float
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_frac: float
+    positions_per_s: float
 
 
 @dataclass
@@ -81,34 +96,38 @@ class TrainReport:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,cost,val_ppl,seconds\n")
+            fh.write("epoch,cost,val_ppl,seconds,grad_norm_mean,grad_norm_max,"
+                     "clip_frac,positions_per_s\n")
             for row in self.rows:
                 val = "" if row.val_ppl is None else repr(row.val_ppl)
-                fh.write(f"{row.epoch},{row.cost!r},{val},{row.seconds:.3f}\n")
+                fh.write(f"{row.epoch},{row.cost!r},{val},{row.seconds:.3f},"
+                         f"{row.grad_norm_mean!r},{row.grad_norm_max!r},{row.clip_frac!r},"
+                         f"{row.positions_per_s:.1f}\n")
 
 
-def _feature_for(params: ModelParams, features: ImageFeatureStore | None,
-                 example: CaptionedExample):
-    if params.config.variant == "baseline":
-        return None
-    if features is None:
-        raise ValueError("the mrnn variant needs an image feature store")
-    return features.get(example.image_id)
+def _forward(params: ModelParams, examples: list[CaptionedExample],
+             features: ImageFeatureStore | None):
+    """The packed forward pass over ``examples`` with their image features."""
+    feats = None
+    if params.config.variant != "baseline":
+        if features is None:
+            raise ValueError("the mrnn variant needs an image feature store")
+        feats = features.matrix([ex.image_id for ex in examples])
+    return forward_batch(params, [ex.tokens for ex in examples], feats)
 
 
 def bits_per_word(params: ModelParams, examples: list[CaptionedExample],
                   features: ImageFeatureStore | None) -> float:
     """Negative log2 likelihood per predicted position (content words and
-    end signs), over all of ``examples``."""
+    end signs), over all of ``examples``, scored in packs of sentences."""
     if not examples:
         raise ValueError("need at least one example")
     nll_bits = 0.0
     n_words = 0
-    for ex in examples:
-        trace = forward_sentence(params, ex.tokens, _feature_for(params, features, ex))
-        _, targets = sentence_inputs_targets(ex.tokens)
-        nll_bits -= trace.log2prob(targets)
-        n_words += len(targets)
+    for lo in range(0, len(examples), _SCORE_PACK):
+        trace = _forward(params, examples[lo:lo + _SCORE_PACK], features)
+        nll_bits -= trace.log2prob(trace.targets)
+        n_words += len(trace)
     return nll_bits / n_words
 
 
@@ -118,14 +137,27 @@ def cost(params: ModelParams, examples: list[CaptionedExample],
     return bits_per_word(params, examples, features) + lambda_reg * params.weight_sq_norm()
 
 
+def batch_gradient(params: ModelParams, examples: list[CaptionedExample],
+                   features: ImageFeatureStore | None) -> tuple[Gradients, float]:
+    """Gradient of the data term of the cost over one minibatch, and that term.
+
+    Each sentence's summed nat loss is divided by its predicted positions
+    and by ln 2 (bits per word), and the batch takes the mean over its
+    sentences; one packed forward and one backward pass compute it all.
+    """
+    n_pred = np.array([len(ex.tokens) + 1 for ex in examples])
+    return backward_batch(params, _forward(params, examples, features),
+                          1.0 / (n_pred * LN2 * len(examples)))
+
+
 def sentence_gradient(params: ModelParams, example: CaptionedExample,
                       features: ImageFeatureStore | None) -> tuple[Gradients, float, int]:
-    """(gradient, summed nat loss, predicted positions) for one sentence."""
-    feat = _feature_for(params, features, example)
-    trace = forward_sentence(params, example.tokens, feat)
-    _, targets = sentence_inputs_targets(example.tokens)
-    grads, loss = backward_sentence(params, trace, targets, feat)
-    return grads, loss, len(targets)
+    """(gradient, summed nat loss, predicted positions) for one sentence: the
+    one-sentence ``batch_gradient`` scaled back from bits per word."""
+    grads, bits = batch_gradient(params, [example], features)
+    n_pred = len(example.tokens) + 1
+    grads.scale(n_pred * LN2)
+    return grads, bits * n_pred * LN2, n_pred
 
 
 def apply_sgd_step(params: ModelParams, data_grad: Gradients, learning_rate: float,
@@ -133,14 +165,21 @@ def apply_sgd_step(params: ModelParams, data_grad: Gradients, learning_rate: flo
     """One descent step; returns the applied global gradient norm.
 
     ``data_grad`` is consumed: the regularizer gradient is folded into it,
-    then the whole thing is clipped and applied.  The parameter update is
-    the single-writer step; callers must not share ``params`` concurrently.
+    then the whole thing is clipped and applied.  A norm that is not finite
+    raises ``TrainingDiverged``, naming the block with the largest norm,
+    before any weight changes.  The parameter update is the single-writer
+    step; callers must not share ``params`` concurrently.
     """
     if lambda_reg:
         for name, arr in data_grad.arrays.items():
             if not name.startswith("b_"):
                 arr += (2.0 * lambda_reg) * params.arrays[name]
     norm = data_grad.global_norm()
+    if not math.isfinite(norm):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = {name: float(np.sum(a * a)) for name, a in data_grad.arrays.items()}
+        worst = max(sq, key=lambda name: (math.isnan(sq[name]), sq[name]))
+        raise TrainingDiverged(f"gradient norm is {norm} (largest in block {worst})")
     if clip_norm is not None and norm > clip_norm:
         data_grad.scale(clip_norm / norm)
         norm = clip_norm
@@ -153,8 +192,10 @@ def train(config: TrainConfig, split: DatasetSplit,
     """Mini-batch SGD on the perplexity cost; deterministic given the seed.
 
     Each sentence contributes its per-word-normalized gradient (base-2
-    units); the batch gradient is the mean over sentences.  Examples are
-    reshuffled every epoch with the seeded generator.
+    units); the batch gradient is the mean over sentences, computed by one
+    packed pass per batch (``batch_gradient``).  Examples are reshuffled
+    every epoch with the seeded generator.  A non-finite gradient norm
+    raises ``TrainingDiverged`` naming the epoch and the batch.
     """
     from .evaluation import corpus_perplexity
 
@@ -164,20 +205,23 @@ def train(config: TrainConfig, split: DatasetSplit,
     rng = Rng(config.seed)
     params = ModelParams.initialize(config.model, rng, dtype=config.dtype)
     report = TrainReport()
+    positions = sum(len(ex.tokens) + 1 for ex in examples)
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = list(range(len(examples)))
         rng.shuffle(order)
+        norms = []
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            batch_grad = params.zeros_like()
-            for idx in batch:
-                grads, _, n_pred = sentence_gradient(params, examples[idx], features)
-                batch_grad.add_scaled(grads, 1.0 / (n_pred * LN2))
-            batch_grad.scale(1.0 / len(batch))
-            apply_sgd_step(params, batch_grad, config.learning_rate,
-                           config.lambda_reg, config.clip_norm)
+            batch = [examples[i] for i in order[start:start + config.batch_size]]
+            batch_grad, _ = batch_gradient(params, batch, features)
+            try:
+                norms.append(apply_sgd_step(params, batch_grad, config.learning_rate,
+                                            config.lambda_reg, config.clip_norm))
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"epoch {epoch}, batch {len(norms) + 1}: {exc}; "
+                                       "lower the learning rate or enable clipping") from None
+        sgd_seconds = time.perf_counter() - t0
 
         epoch_cost = cost(params, examples, features, config.lambda_reg)
         if not math.isfinite(epoch_cost):
@@ -187,8 +231,11 @@ def train(config: TrainConfig, split: DatasetSplit,
         val_ppl = None
         if split.validation and (epoch % config.eval_every == 0 or epoch == config.epochs):
             val_ppl = corpus_perplexity(params, split.validation, features)
-        report.rows.append(EpochRow(epoch, epoch_cost, val_ppl,
-                                    time.perf_counter() - t0))
+        clipped = sum(config.clip_norm is not None and n >= config.clip_norm for n in norms)
+        report.rows.append(EpochRow(epoch, epoch_cost, val_ppl, time.perf_counter() - t0,
+                                    grad_norm_mean=sum(norms) / len(norms),
+                                    grad_norm_max=max(norms), clip_frac=clipped / len(norms),
+                                    positions_per_s=positions / sgd_seconds))
     return params, report
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: BLEU by explicit
 n-gram scanning, ranks by pairwise counting, gradients by central
-differences on the forward loss or by per-step BPTT.
+differences on the forward loss, by per-step BPTT or by one-sentence
+array passes.
 """
 
 import math
@@ -11,8 +12,9 @@ import struct
 import numpy as np
 
 from mrnn.corpus import FEATURE_MAGIC, FEATURE_VERSION
-from mrnn.model import forward_sentence, forward_step, sentence_inputs_targets
-from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output
+from mrnn.model import LN2, forward_sentence, forward_step, sentence_inputs_targets
+from mrnn.numerics import (Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, sigmoid,
+                           softmax)
 
 
 def oracle_bleu(candidates, references, n_max=3, cumulative=True):
@@ -166,6 +168,82 @@ def per_step_backward(params, tokens, image_feature):
         g["b_e2"] += de2_pre
         g["E1"][inputs[t]] += params["E2"].T @ de2_pre
     return g, loss
+
+
+def sentence_forward(params, tokens, image_feature):
+    """One sentence's forward pass as (T, d) arrays, the sentence on its own.
+
+    Returns a dict with ``inputs``, ``targets``, ``r`` (T+1 rows, row 0 the
+    zero state), ``y`` and, for the mrnn variant, ``e1``, ``e2`` and ``m``.
+    """
+    cfg = params.config
+    inputs, targets = sentence_inputs_targets(tokens)
+    if cfg.variant == "baseline":
+        u = params["U"]
+        drive, weight, activation = u[:, inputs].T + params["b_r"], u[:, cfg.vocab_size:], sigmoid
+    else:
+        e1 = params["E1"][inputs]
+        e2 = relu(e1 @ params["E2"].T + params["b_e2"])
+        drive, weight, activation = e2 @ params["W_in"].T + params["b_r"], params["U_r"], relu
+    r = np.zeros((len(inputs) + 1, cfg.d_r))
+    for t, x in enumerate(drive):
+        r[t + 1] = activation(weight @ r[t] + x)
+    out = {"inputs": np.array(inputs), "targets": np.array(targets), "r": r}
+    if cfg.variant == "baseline":
+        out["y"] = softmax(r[1:] @ params["V"].T + params["b_out"])
+        return out
+    m = scaled_tanh(e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
+                    + params["V_I"] @ np.asarray(image_feature))
+    out.update(e1=e1, e2=e2, m=m, y=softmax(m @ params["W_out"].T + params["b_out"]))
+    return out
+
+
+def sentence_backward(params, tokens, image_feature):
+    """One sentence's BPTT as (T, d) array products: (gradient arrays by
+    name, summed nat-log loss)."""
+    cfg = params.config
+    f = sentence_forward(params, tokens, image_feature)
+    steps = np.arange(len(f["inputs"]))
+    loss = -float(np.log(f["y"][steps, f["targets"]]).sum())
+    dlogit = f["y"].copy()
+    dlogit[steps, f["targets"]] -= 1.0
+    r, r_prev = f["r"][1:], f["r"][:-1]
+    if cfg.variant == "baseline":
+        weight = params["U"][:, cfg.vocab_size:]
+        dr, act_grad = dlogit @ params["V"], r * (1.0 - r)
+    else:
+        dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(f["m"])
+        weight, dr, act_grad = params["U_r"], dm_pre @ params["V_r"], r > 0
+    dr_pre = np.empty_like(dr)
+    carry = np.zeros(cfg.d_r)
+    for t in reversed(steps):
+        dr_pre[t] = (dr[t] + carry) * act_grad[t]
+        carry = weight.T @ dr_pre[t]
+    if cfg.variant == "baseline":
+        g_u = np.zeros_like(params["U"])
+        np.add.at(g_u, (slice(None), f["inputs"]), dr_pre.T)
+        g_u[:, cfg.vocab_size:] = dr_pre.T @ r_prev
+        return {"U": g_u, "b_r": dr_pre.sum(axis=0), "V": dlogit.T @ r,
+                "b_out": dlogit.sum(axis=0)}, loss
+    de2_pre = (dr_pre @ params["W_in"] + dm_pre @ params["V_w"]) * (f["e2"] > 0)
+    g_e1 = np.zeros_like(params["E1"])
+    np.add.at(g_e1, f["inputs"], de2_pre @ params["E2"])
+    return {"E1": g_e1, "E2": de2_pre.T @ f["e1"], "b_e2": de2_pre.sum(axis=0),
+            "U_r": dr_pre.T @ r_prev, "W_in": dr_pre.T @ f["e2"], "b_r": dr_pre.sum(axis=0),
+            "V_w": dm_pre.T @ f["e2"], "V_r": dm_pre.T @ r,
+            "V_I": np.outer(dm_pre.sum(axis=0), image_feature), "b_m": dm_pre.sum(axis=0),
+            "W_out": dlogit.T @ f["m"], "b_out": dlogit.sum(axis=0)}, loss
+
+
+def mean_sentence_gradient(params, token_lists, image_features):
+    """The minibatch gradient from one-sentence passes: each sentence's nat
+    gradient over (predicted positions * ln 2), averaged over the batch."""
+    total = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+    for tokens, feat in zip(token_lists, image_features):
+        grads, _ = sentence_backward(params, tokens, feat)
+        for name in total:
+            total[name] += grads[name] / ((len(tokens) + 1) * LN2 * len(token_lists))
+    return total
 
 
 def randomize_biases(params, seed):

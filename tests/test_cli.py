@@ -126,7 +126,8 @@ class TestTrain:
 
     def test_report_has_header_and_rows(self, workspace):
         lines = (workspace["run"] / "train_report.csv").read_text().splitlines()
-        assert lines[0] == "epoch,cost,val_ppl,seconds"
+        assert lines[0] == ("epoch,cost,val_ppl,seconds,grad_norm_mean,grad_norm_max,"
+                            "clip_frac,positions_per_s")
         assert len(lines) == 13
 
     def test_missing_feature_file_names_path(self, workspace, tmp_path):

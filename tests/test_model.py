@@ -5,12 +5,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradient,
-                     per_step_backward, randomize_biases)
+                     per_step_backward, randomize_biases, sentence_backward,
+                     sentence_forward)
 from mrnn.corpus import build_vocabulary
-from mrnn.model import (ModelConfig, ModelParams, backward_sentence,
-                        forward_sentence, forward_step, load_checkpoint,
-                        nearest_words, output_logits, save_checkpoint,
-                        sentence_inputs_targets, sentence_layers)
+from mrnn.model import (ModelConfig, ModelParams, Packing, backward_batch,
+                        backward_sentence, forward_batch, forward_sentence,
+                        forward_step, load_checkpoint, nearest_words,
+                        output_logits, save_checkpoint, sentence_inputs_targets,
+                        sentence_layers)
 from mrnn.numerics import Rng, scaled_tanh, softmax
 
 
@@ -199,6 +201,100 @@ class TestBackward:
         grads, _ = backward_sentence(params, trace, [5, 9, 1, 1], FEAT)
         for name in params.names():
             assert np.all(np.isfinite(grads[name]))
+
+
+# Mixed lengths with ties, an empty caption (T=1) and repeated words.
+BATCH = [[2, 7, 4], [], [5, 5, 2, 5, 5], [9, 3, 9], [1]]
+BATCH_FEATS = Rng(321).uniform(-1, 1, 3 * len(BATCH)).reshape(len(BATCH), 3)
+
+
+def sentence_rows(trace, b):
+    """Packed row indices of sentence b, in step order."""
+    return np.nonzero(trace.packing.sent == b)[0]
+
+
+class TestPacking:
+    def test_layout(self):
+        # lengths 2, 1, 3, 2: longest first, ties in batch order
+        p = Packing.of([2, 1, 3, 2])
+        assert_array_equal(p.offsets, [0, 4, 7, 8])
+        assert_array_equal(p.sent, [2, 0, 3, 1, 2, 0, 3, 2])
+        assert_array_equal(p.source, [3, 0, 6, 2, 4, 1, 7, 5])
+        # row 0 of r is the zero state; row i + 1 the state after packed row i
+        assert_array_equal(p.prev, [0, 0, 0, 0, 1, 2, 3, 5])
+
+    def test_one_sequence_is_its_steps_in_order(self):
+        p = Packing.of([4])
+        assert_array_equal(p.offsets, np.arange(5))
+        assert_array_equal(p.sent, np.zeros(4))
+        assert_array_equal(p.source, np.arange(4))
+        assert_array_equal(p.prev, np.arange(4))
+
+    def test_pack_gathers_rows(self):
+        p = Packing.of([2, 1, 3])
+        assert_array_equal(p.pack([np.array([10, 11]), np.array([20]),
+                                   np.array([30, 31, 32])]), [30, 10, 20, 31, 11, 32])
+
+
+class TestPackedBatch:
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    def test_rows_match_one_sentence_passes(self, variant):
+        params = randomize_biases(tiny_params(seed=11, variant=variant), 11)
+        trace = forward_batch(params, BATCH, BATCH_FEATS)
+        assert len(trace) == sum(len(t) + 1 for t in BATCH)
+        for b, tokens in enumerate(BATCH):
+            ref = sentence_forward(params, tokens, BATCH_FEATS[b])
+            rows = sentence_rows(trace, b)
+            assert_array_equal(trace.inputs[rows], ref["inputs"])
+            assert_array_equal(trace.targets[rows], ref["targets"])
+            assert_allclose(trace.r[rows + 1], ref["r"][1:], rtol=0, atol=1e-13)
+            assert_allclose(trace.y[rows], ref["y"], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    def test_gradient_is_weighted_sum_of_sentence_gradients(self, variant):
+        params = randomize_biases(tiny_params(seed=12, variant=variant), 12)
+        weights = Rng(13).uniform(0.1, 2.0, len(BATCH))
+        trace = forward_batch(params, BATCH, BATCH_FEATS)
+        grads, loss = backward_batch(params, trace, weights)
+        ref_loss = 0.0
+        ref = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
+        for b, tokens in enumerate(BATCH):
+            g, sentence_loss = sentence_backward(params, tokens, BATCH_FEATS[b])
+            ref_loss += weights[b] * sentence_loss
+            for name in ref:
+                ref[name] += weights[b] * g[name]
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name in params.names():
+            assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_sentence_order_only_permutes_rows(self):
+        params = randomize_biases(tiny_params(seed=14), 14)
+        weights = np.arange(1.0, len(BATCH) + 1)
+        grads, loss = backward_batch(params, forward_batch(params, BATCH, BATCH_FEATS), weights)
+        rev, rev_loss = backward_batch(
+            params, forward_batch(params, BATCH[::-1], BATCH_FEATS[::-1]), weights[::-1])
+        assert rev_loss == pytest.approx(loss, rel=1e-12)
+        for name in params.names():
+            assert_allclose(rev[name], grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_feature_shape_mismatch(self):
+        with pytest.raises(ValueError, match="image features"):
+            forward_batch(tiny_params(), BATCH, BATCH_FEATS[:2])
+
+    def test_word_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            forward_batch(tiny_params(), [[1, 2], [11]], BATCH_FEATS[:2])
+
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    def test_one_sentence_matches_its_own_pass(self, variant):
+        params = randomize_biases(tiny_params(seed=15, variant=variant), 15)
+        tokens = [5, 5, 2, 5, 5]
+        trace = forward_sentence(params, tokens, FEAT)
+        grads, loss = backward_sentence(params, trace, tokens + [1], FEAT)
+        ref, ref_loss = sentence_backward(params, tokens, FEAT)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name in params.names():
+            assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestNearestWords:

@@ -10,8 +10,13 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from numpy.testing import assert_allclose
 
-from mrnn.model import ModelConfig, ModelParams
+from helpers import sentence_backward
+from mrnn.corpus import CaptionedExample, ImageFeatureStore
+from mrnn.model import LN2, ModelConfig, ModelParams
+from mrnn.numerics import Rng
+from mrnn.training import batch_gradient, sentence_gradient
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,3 +42,21 @@ def test_every_traced_method_is_on_model_params(tracer):
 def test_every_layer_weight_is_a_parameter(tracer):
     names = set(ModelConfig(vocab_size=5, d_i=2).param_shapes())
     assert set(tracer.WEIGHT_LAYERS) <= names
+
+
+def test_sentence_gradient_is_the_one_sentence_batch_gradient():
+    # the tracer's training.sentence_gradient span still times one sentence's
+    # gradient: the batch gradient of that sentence alone, in nat-loss units
+    params = ModelParams.initialize(ModelConfig(vocab_size=9, d_i=2, d_e1=3, d_e2=3,
+                                                d_r=4, d_m=5), Rng(1))
+    store = ImageFeatureStore(["a"], [[0.5, -0.25]])
+    example = CaptionedExample("a", [3, 7, 3], "x")
+    grads, loss, n_pred = sentence_gradient(params, example, store)
+    batch, bits = batch_gradient(params, [example], store)
+    assert n_pred == 4
+    assert loss == pytest.approx(bits * n_pred * LN2, rel=1e-12)
+    ref, ref_loss = sentence_backward(params, example.tokens, store.get("a"))
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for name in params.names():
+        assert_allclose(grads[name], batch[name] * (n_pred * LN2), rtol=1e-12, atol=1e-15)
+        assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import block_rel_err, numeric_sentence_gradient
+from helpers import (block_rel_err, mean_sentence_gradient, numeric_sentence_gradient,
+                     randomize_biases, sentence_forward)
 from mrnn.corpus import (CaptionedExample, DatasetSplit, ImageFeatureStore,
                          SynthSpec, generate_synthetic_corpus)
 from mrnn.model import (ModelConfig, ModelParams, backward_sentence,
                         forward_sentence, save_checkpoint)
 from mrnn.numerics import Rng
-from mrnn.training import (TrainConfig, TrainingDiverged, apply_sgd_step,
-                           cost, gradient_check, train)
+from mrnn.training import (TrainConfig, TrainingDiverged, apply_sgd_step, batch_gradient,
+                           bits_per_word, cost, gradient_check, train)
 
 
 def uniform_dataset(m=8, length=3, n=1, d_i=4):
@@ -24,6 +25,55 @@ def uniform_dataset(m=8, length=3, n=1, d_i=4):
         split.train.append(CaptionedExample(image_id, tokens, "x"))
     cfg = ModelConfig(vocab_size=m, d_i=d_i, d_e1=4, d_e2=4, d_r=5, d_m=6)
     return cfg, split, store
+
+
+def random_examples(n, m=11, d_i=3, seed=0):
+    """n captions of 0-6 words (repeats likely) over n // 2 + 1 images."""
+    rng = Rng(seed)
+    n_images = n // 2 + 1
+    store = ImageFeatureStore([f"im{i}" for i in range(n_images)],
+                              rng.uniform(-1, 1, n_images * d_i).reshape(n_images, d_i))
+    examples = [CaptionedExample(f"im{rng.randint(n_images)}",
+                                 [3 + rng.randint(m - 3) for _ in range(rng.randint(7))], "x")
+                for _ in range(n)]
+    return examples, store
+
+
+def tiny_params(variant="mrnn", seed=0):
+    cfg = ModelConfig(vocab_size=11, d_i=3, variant=variant, d_e1=4, d_e2=4, d_r=6, d_m=8)
+    return randomize_biases(ModelParams.initialize(cfg, Rng(seed)), seed)
+
+
+class TestPackedPasses:
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    def test_batch_gradient_is_mean_of_sentence_gradients(self, variant):
+        examples, store = random_examples(9, seed=1)
+        examples.append(CaptionedExample("im0", [], "x"))  # T=1
+        params = tiny_params(variant, seed=2)
+        grads, _ = batch_gradient(params, examples, store)
+        ref = mean_sentence_gradient(params, [ex.tokens for ex in examples],
+                                     store.matrix([ex.image_id for ex in examples]))
+        for name in params.names():
+            assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    def test_bits_per_word_matches_sentence_passes(self, variant):
+        # more sentences than one scoring pack holds
+        examples, store = random_examples(37, seed=3)
+        params = tiny_params(variant, seed=4)
+        nll_bits = 0.0
+        for ex in examples:
+            f = sentence_forward(params, ex.tokens, store.get(ex.image_id))
+            nll_bits -= np.log2(f["y"][np.arange(len(f["targets"])), f["targets"]]).sum()
+        positions = sum(len(ex.tokens) + 1 for ex in examples)
+        assert bits_per_word(params, examples, store) == pytest.approx(
+            nll_bits / positions, rel=1e-12, abs=0)
+
+    def test_float32_batch_gradient_stays_float32(self):
+        examples, store = random_examples(5, seed=5)
+        params = ModelParams.initialize(tiny_params().config, Rng(6), dtype=np.float32)
+        grads, _ = batch_gradient(params, examples, store)
+        assert {a.dtype for a in grads.arrays.values()} == {np.dtype(np.float32)}
 
 
 class TestCost:
@@ -86,6 +136,18 @@ class TestSgdStep:
         apply_sgd_step(params, params.zeros_like(), 0.1, 0.01, None)
         assert params.weight_sq_norm() < before
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_raises_before_update(self, bad):
+        cfg, _, _ = uniform_dataset()
+        params = ModelParams.initialize(cfg, Rng(2))
+        before = params.copy()
+        grads = ModelParams.initialize(cfg, Rng(3))
+        grads.arrays["V_w"][1, 2] = bad
+        with pytest.raises(TrainingDiverged, match=r"gradient norm is (nan|inf).*block V_w"):
+            apply_sgd_step(params, grads, 0.1, 0.01, 5.0)
+        for name in params.names():
+            assert_array_equal(params[name], before[name])
+
     def test_biases_not_regularized(self):
         cfg, _, _ = uniform_dataset()
         params = ModelParams.initialize(cfg, Rng(5))
@@ -136,6 +198,34 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(config, split, store)
 
+    def test_non_finite_gradient_names_epoch_batch_and_block(self):
+        # the gradient overflows on the second step, before the epoch's cost
+        cfg, split, store = uniform_dataset(n=6)
+        config = self.small_config(cfg, learning_rate=1e200, clip_norm=None, batch_size=1)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged, match=r"epoch 1, batch 2: gradient norm is nan "
+                                        r"\(largest in block \w+\)"):
+            train(config, split, store)
+
+    def test_telemetry(self):
+        cfg, split, store = uniform_dataset(n=6)
+        _, report = train(self.small_config(cfg, epochs=2, batch_size=2), split, store)
+        for row in report.rows:
+            assert 0.0 < row.grad_norm_mean <= row.grad_norm_max <= 5.0
+            assert 0.0 <= row.clip_frac <= 1.0
+            assert row.positions_per_s > 0.0
+
+    def test_telemetry_counts_clipped_steps(self):
+        cfg, split, store = uniform_dataset(n=6)
+        _, clipped = train(self.small_config(cfg, epochs=1, batch_size=2, clip_norm=1e-6),
+                           split, store)
+        assert clipped.rows[0].clip_frac == 1.0
+        assert clipped.rows[0].grad_norm_max == 1e-6
+        _, free = train(self.small_config(cfg, epochs=1, batch_size=2, clip_norm=None),
+                        split, store)
+        assert free.rows[0].clip_frac == 0.0
+        assert free.rows[0].grad_norm_max > 1e-6
+
     def test_validation_ppl_respects_eval_every(self):
         split, store, vocab = generate_synthetic_corpus(
             Rng(2), 10, SynthSpec(n_topics=2, captions_per_image=1,
@@ -151,7 +241,8 @@ class TestTrain:
         _, report = train(self.small_config(cfg, epochs=2), split, store)
         report.to_csv(tmp_path / "report.csv")
         lines = (tmp_path / "report.csv").read_text().splitlines()
-        assert lines[0] == "epoch,cost,val_ppl,seconds"
+        assert lines[0] == ("epoch,cost,val_ppl,seconds,grad_norm_mean,grad_norm_max,"
+                            "clip_frac,positions_per_s")
         assert len(lines) == 3
         assert lines[1].split(",")[2] == ""  # no validation split -> blank
 
@@ -165,6 +256,19 @@ class TestTrain:
         cfg, _, _ = uniform_dataset()
         with pytest.raises(ValueError, match="clip_norm"):
             TrainConfig(model=cfg, clip_norm=clip)
+
+    def test_float32_one_epoch_smoke(self):
+        split, store, vocab = generate_synthetic_corpus(
+            Rng(3), 12, SynthSpec(n_topics=3, captions_per_image=2,
+                                  train_frac=0.75, val_frac=0.25))
+        cfg = ModelConfig(vocab_size=vocab.size, d_i=store.feature_dim,
+                          d_e1=8, d_e2=8, d_r=12, d_m=12)
+        params, report = train(self.small_config(cfg, epochs=1, precision="float32"),
+                               split, store)
+        assert {a.dtype for a in params.arrays.values()} == {np.dtype(np.float32)}
+        row = report.rows[0]
+        assert np.isfinite(row.cost) and np.isfinite(row.val_ppl)
+        assert np.isfinite(row.grad_norm_max)
 
     def test_float32_speed_mode(self):
         cfg, split, store = uniform_dataset(n=2)
