@@ -29,8 +29,8 @@ from .inference import (GenerationConfig, generate, log2prob_matrix,
 from .model import (VARIANTS, ModelConfig, backward_sentence, load_checkpoint,
                     nearest_words, save_checkpoint)
 from .numerics import Rng
-from .training import (_DTYPES, TrainConfig, TrainingDiverged, gradient_check,
-                       train)
+from .training import (_DTYPES, TINY_CONFIG, TrainConfig, TrainingDiverged,
+                       gradient_check, train)
 
 # The `mrnn train` settings, each a --config key and a flag: the defaulted
 # fields of ModelConfig and TrainConfig, plus the vocabulary cutoff.
@@ -358,6 +358,11 @@ def cmd_gradcheck(args) -> int:
     require_counts(args, "--samples")
     grad_fn = None
     if args.corrupt:
+        blocks = list(ModelConfig(variant=args.variant, **TINY_CONFIG).param_shapes())
+        if args.corrupt not in blocks:
+            raise ValueError(f"--corrupt {args.corrupt!r} is not a block of the "
+                             f"{args.variant} variant; valid blocks: {', '.join(blocks)}")
+
         def grad_fn(params, trace, targets, feat, _block=args.corrupt):
             grads, loss = backward_sentence(params, trace, targets, feat)
             grads.arrays[_block] += 0.01

@@ -135,6 +135,8 @@ def recall_curve(scores: np.ndarray, groundtruth: dict[int, set],
                  fractions: list[float],
                  candidate_ids: list | None = None) -> RecallCurve:
     """Mean number of groundtruth items inside the top ceil(f * C) retrieved."""
+    if not fractions:
+        raise ValueError("need at least one fraction")
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
     hits = _ranked_hits(np.asarray(scores), groundtruth, candidate_ids)

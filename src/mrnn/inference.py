@@ -14,12 +14,14 @@ import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, Vocabulary
 from .model import (LN2, ModelParams, forward_sentence, forward_step, output_logits,
-                    sentence_inputs_targets, sentence_layers)
+                    sentence_layers)
 from .numerics import Rng, log_softmax, scaled_tanh
 
-# Bound on the elements of one image chunk's (images, T, max(d_m, V))
-# activations in log2prob_matrix.  2**15 (256 KB at float64) held retrieval
-# peak memory within ~1 MB of scoring pair by pair; 2**17 cost 4.6 MB more.
+# Bound on the elements of one pack's (P, max(d_m, V)) activations, and of
+# one image chunk's (images, P, max(d_m, V)), in log2prob_matrix, P being
+# the pack's packed rows.  2**15 (256 KB at float64) held retrieval peak
+# memory within ~1 MB of scoring pair by pair; 2**17 cost 4.6 MB more, and
+# packing every sentence at once 4.6 MB more too.
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -42,6 +44,14 @@ class GenerationConfig:
             raise ValueError(f"unknown generation mode {self.mode!r}")
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
+        if len(self.prefix or []) > self.limit:
+            raise ValueError(f"the prefix has {len(self.prefix)} words, more than the "
+                             f"length limit of {self.limit}")
+
+    @property
+    def limit(self) -> int:
+        """The most tokens ``generate`` returns."""
+        return self.max_length if self.force_length is None else self.force_length
 
 
 def _pick(y: np.ndarray, mode: str, rng: Rng | None, ban_end: bool) -> int:
@@ -70,7 +80,7 @@ def generate(params: ModelParams, vocab: Vocabulary, image_feature,
     part of the returned sequence.
     """
     rng = Rng(gcfg.seed) if gcfg.mode == "sample" else None
-    limit = gcfg.force_length if gcfg.force_length is not None else gcfg.max_length
+    limit = gcfg.limit
 
     r = np.zeros(params.config.d_r, dtype=params.dtype)
     y, r = forward_step(params, START_INDEX, r, image_feature)
@@ -98,25 +108,8 @@ def sentence_log2prob(params: ModelParams, tokens: list[int],
     one-image reference that ``log2prob_matrix`` is tested against.
     """
     trace = forward_sentence(params, tokens, image_feature)
-    _, targets = sentence_inputs_targets(tokens)
-    log2p = trace.log2prob(targets)
-    ppl = 2.0 ** (-log2p / len(targets))
-    return log2p, ppl
-
-
-def _score_sentence(params: ModelParams, tokens: list[int], img: np.ndarray) -> np.ndarray:
-    """log2 P(tokens | image n) for every row n of the projected images ``img``."""
-    inputs, targets = sentence_inputs_targets(tokens)
-    _, m_base = sentence_layers(params, inputs)
-    steps = np.arange(len(inputs))
-    chunk = max(1, CHUNK_ELEMENTS // (len(inputs) * max(params.config.d_m,
-                                                          params.config.vocab_size)))
-    row = np.empty(len(img))
-    for lo in range(0, len(img), chunk):
-        m = scaled_tanh(m_base + img[lo:lo + chunk, None, :])
-        logp = log_softmax(output_logits(params, m))
-        row[lo:lo + chunk] = logp[:, steps, targets].sum(axis=1)
-    return row / LN2
+    log2p = trace.log2prob()
+    return log2p, 2.0 ** (-log2p / len(trace))
 
 
 def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
@@ -125,10 +118,12 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
 
     The image enters the model only at the multimodal layer and only
     linearly (``V_I . I``), so the embedding and recurrent states of a
-    sentence are the same for every image: each sentence gets one
-    recurrent pass, and the images are scored against it in chunks of at
-    most ``CHUNK_ELEMENTS`` activations.  Agrees with ``sentence_log2prob``
-    to rounding.
+    sentence are the same for every image.  The distinct sentences go
+    through ``sentence_layers`` in packs, as many per pack as keep its
+    activations within ``CHUNK_ELEMENTS``, and each pack scores the images
+    in chunks of at most ``CHUNK_ELEMENTS`` activations.  A repeated
+    sentence gets a copy of its first row, so repeats tie exactly.  Agrees
+    with ``sentence_log2prob`` to rounding.
     """
     cfg = params.config
     if cfg.variant != "mrnn":
@@ -137,8 +132,21 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
     if feats.ndim != 2 or feats.shape[1] != cfg.d_i:
         raise ValueError(f"image matrix has shape {feats.shape}, expected (N, {cfg.d_i})")
     img = feats @ params["V_I"].T
-    return np.array([_score_sentence(params, tokens, img)
-                     for tokens in token_lists]).reshape(len(token_lists), len(img))
+    distinct = list(dict.fromkeys(map(tuple, token_lists)))
+    width = max(cfg.d_m, cfg.vocab_size)
+    per_pack = max(1, CHUNK_ELEMENTS // (width * (max(map(len, distinct), default=0) + 1)))
+    logs = np.zeros((len(distinct), len(img)))
+    for s in range(0, len(distinct), per_pack):
+        trace, m_base = sentence_layers(params, distinct[s:s + per_pack])
+        rows = np.arange(len(trace))
+        chunk = max(1, CHUNK_ELEMENTS // (len(trace) * width))
+        for n in range(0, len(img), chunk):
+            m = scaled_tanh(m_base + img[n:n + chunk, None, :])
+            logp = log_softmax(output_logits(params, m))[:, rows, trace.targets]
+            # packed rows run step by step, so each sentence sums in time order
+            np.add.at(logs[s:s + per_pack, n:n + chunk], trace.packing.sent, logp.T)
+    row = {tokens: i for i, tokens in enumerate(distinct)}
+    return logs[[row[tuple(tokens)] for tokens in token_lists]] / LN2
 
 
 def normalized_log2prob_matrix(params: ModelParams, token_lists: list[list[int]],

@@ -173,12 +173,6 @@ class Packing:
 
     @classmethod
     def of(cls, lengths) -> "Packing":
-        if len(lengths) == 1:
-            # one sentence (the retrieval engine packs one at a time) skips the
-            # sort and costs about a tenth of the general path
-            steps = np.arange(lengths[0])
-            return cls(offsets=np.arange(lengths[0] + 1), sent=np.zeros_like(steps),
-                       source=steps, prev=steps)
         lengths = np.asarray(lengths, dtype=np.intp)
         order = np.argsort(-lengths, kind="stable")
         steps, rank = np.nonzero(np.arange(lengths.max())[:, None] < lengths[order])
@@ -217,10 +211,10 @@ class ForwardTrace:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def log2prob(self, targets) -> float:
+    def log2prob(self) -> float:
         """Summed log2 probability of the targets; -inf if one has probability 0."""
         with np.errstate(divide="ignore"):
-            return float(np.log2(self.y[np.arange(len(self)), targets]).sum())
+            return float(np.log2(self.y[np.arange(len(self)), self.targets]).sum())
 
 
 def _image_feature(params: ModelParams, image_feature) -> np.ndarray:
@@ -297,24 +291,23 @@ def packed_layers(params: ModelParams, inputs: np.ndarray,
     return ForwardTrace(inputs, r, packing, e1=e1, e2=e2), m_base
 
 
-def sentence_layers(params: ModelParams, inputs) -> tuple[ForwardTrace, np.ndarray | None]:
-    """``packed_layers`` for the T input words of one sentence."""
-    inputs = np.asarray(inputs, dtype=np.intp)
-    return packed_layers(params, inputs, Packing.of([len(inputs)]))
+def sentence_layers(params: ModelParams,
+                    token_lists) -> tuple[ForwardTrace, np.ndarray | None]:
+    """``packed_layers`` over B sentences of content tokens, framed and packed.
+
+    The start sign is input-only and the end sign target-only, so L tokens
+    unroll into L+1 prediction steps.  The trace also has ``targets``.
+    """
+    packing = Packing.of([len(tokens) + 1 for tokens in token_lists])
+    trace, m_base = packed_layers(
+        params, packing.pack([[START_INDEX, *tokens] for tokens in token_lists]), packing)
+    trace.targets = packing.pack([[*tokens, END_INDEX] for tokens in token_lists])
+    return trace, m_base
 
 
 def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
     """Output-layer logits (``y`` before the softmax) for multimodal activations ``m``."""
     return m @ params["W_out"].T + params["b_out"]
-
-
-def sentence_inputs_targets(tokens: list[int]) -> tuple[list[int], list[int]]:
-    """Unrolled (inputs, targets) for a content-token sequence.
-
-    The start sign is input-only, the end sign target-only: L tokens give
-    L+1 prediction steps.
-    """
-    return [START_INDEX] + list(tokens), list(tokens) + [END_INDEX]
 
 
 def forward_batch(params: ModelParams, token_lists: list[list[int]],
@@ -325,10 +318,7 @@ def forward_batch(params: ModelParams, token_lists: list[list[int]],
     baseline).  Every r(0) is the zero vector.
     """
     cfg = params.config
-    unrolled = [sentence_inputs_targets(tokens) for tokens in token_lists]
-    packing = Packing.of([len(inputs) for inputs, _ in unrolled])
-    trace, m_base = packed_layers(params, packing.pack([i for i, _ in unrolled]), packing)
-    trace.targets = packing.pack([t for _, t in unrolled])
+    trace, m_base = sentence_layers(params, token_lists)
     if cfg.variant == "baseline":
         trace.y = softmax(trace.r[1:] @ params["V"].T + params["b_out"])
         return trace
@@ -337,7 +327,7 @@ def forward_batch(params: ModelParams, token_lists: list[list[int]],
         raise ValueError(f"image features have shape {feats.shape}, "
                          f"expected ({len(token_lists)}, {cfg.d_i})")
     trace.feats = feats
-    trace.m = scaled_tanh(m_base + (feats @ params["V_I"].T)[packing.sent])
+    trace.m = scaled_tanh(m_base + (feats @ params["V_I"].T)[trace.packing.sent])
     trace.y = softmax(output_logits(params, trace.m))
     return trace
 

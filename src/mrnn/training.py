@@ -18,8 +18,7 @@ import numpy as np
 
 from .corpus import DatasetSplit, CaptionedExample, ImageFeatureStore
 from .model import (LN2, Gradients, ModelConfig, ModelParams, backward_batch,
-                    backward_sentence, forward_batch, forward_sentence,
-                    sentence_inputs_targets)
+                    backward_sentence, forward_batch, forward_sentence)
 from .numerics import Rng
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -126,7 +125,7 @@ def bits_per_word(params: ModelParams, examples: list[CaptionedExample],
     n_words = 0
     for lo in range(0, len(examples), _SCORE_PACK):
         trace = _forward(params, examples[lo:lo + _SCORE_PACK], features)
-        nll_bits -= trace.log2prob(trace.targets)
+        nll_bits -= trace.log2prob()
         n_words += len(trace)
     return nll_bits / n_words
 
@@ -291,10 +290,8 @@ def gradient_check(n_samples: int = 20, seed: int = 0, variant: str = "mrnn",
         params = ModelParams.initialize(cfg, rng, dtype=np.float64)
         feat = rng.uniform(-1.0, 1.0, cfg.d_i) if variant == "mrnn" else None
         tokens = [rng.randint(cfg.vocab_size) for _ in range(sentence_len)]
-        _, targets = sentence_inputs_targets(tokens)
-
         trace = forward_sentence(params, tokens, feat)
-        analytic, _ = grad_fn(params, trace, targets, feat)
+        analytic, _ = grad_fn(params, trace, trace.targets, feat)
 
         for name, arr in params.arrays.items():
             numeric = np.zeros_like(arr)
@@ -303,9 +300,9 @@ def gradient_check(n_samples: int = 20, seed: int = 0, variant: str = "mrnn",
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = forward_sentence(params, tokens, feat).log2prob(targets)
+                up = forward_sentence(params, tokens, feat).log2prob()
                 flat[i] = orig - h
-                down = forward_sentence(params, tokens, feat).log2prob(targets)
+                down = forward_sentence(params, tokens, feat).log2prob()
                 flat[i] = orig
                 num_flat[i] = -LN2 * (up - down) / (2.0 * h)  # of the nat-log loss
             a = analytic.arrays[name]

@@ -11,8 +11,8 @@ import struct
 
 import numpy as np
 
-from mrnn.corpus import FEATURE_MAGIC, FEATURE_VERSION
-from mrnn.model import LN2, forward_sentence, forward_step, sentence_inputs_targets
+from mrnn.corpus import END_INDEX, FEATURE_MAGIC, FEATURE_VERSION, START_INDEX
+from mrnn.model import LN2, forward_sentence, forward_step
 from mrnn.numerics import (Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, sigmoid,
                            softmax)
 
@@ -76,6 +76,12 @@ def oracle_first_rank(scores_row, gt_ids, candidate_ids):
     if best is None:
         raise ValueError("no groundtruth candidate")
     return best
+
+
+def sentence_inputs_targets(tokens):
+    """The unrolled (inputs, targets) of a sentence, framed by hand: the start
+    sign is input-only and the end sign target-only."""
+    return [START_INDEX, *tokens], [*tokens, END_INDEX]
 
 
 def numeric_sentence_gradient(params, tokens, image_feature, h=1e-5):

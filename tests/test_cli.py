@@ -300,6 +300,17 @@ class TestGenerate:
         caption = proc.stdout.strip().split("\t", 1)[1]
         assert caption.startswith(prefix)
 
+    def test_prefix_longer_than_max_len_is_one_error_line(self, workspace):
+        word = (workspace["run"] / "vocab.txt").read_text().splitlines()[3]
+        proc = run_cli("generate", "--checkpoint", str(workspace["run"] / "checkpoint.mrnm"),
+                       "--vocab", str(workspace["run"] / "vocab.txt"),
+                       "--features", str(workspace["data"] / "features.mrnf"),
+                       "--image-id", "img0000", "--prefix", " ".join([word] * 3),
+                       "--max-len", "2", check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "prefix" in lines[0]
+
 
 class TestEval:
     def test_ppl_prints_and_writes(self, workspace, tmp_path):
@@ -649,6 +660,18 @@ class TestGradcheckCli:
                        check=False)
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout and "V_w" in proc.stdout
+
+    @pytest.mark.parametrize("variant,block", [("mrnn", "XYZ"), ("baseline", "E1")])
+    def test_unknown_corrupt_block_is_one_error_line(self, capsys, monkeypatch, variant, block):
+        def no_work(**kwargs):
+            raise AssertionError("gradient_check ran")
+        monkeypatch.setattr(cli, "gradient_check", no_work)
+        code, out, err = run_main(capsys, "gradcheck", "--variant", variant, "--corrupt", block)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and repr(block) in lines[0]
+        blocks = ModelConfig(variant=variant, vocab_size=5, d_i=2).param_shapes()
+        assert lines[0].endswith("valid blocks: " + ", ".join(blocks))
 
     def test_deterministic_output(self):
         a = run_cli("gradcheck", "--samples", "1", "--seed", "3").stdout

@@ -339,10 +339,11 @@ class TestSyntheticCorpus:
 
     def test_examples_wrap_with_start_end(self):
         # framing invariant: inputs begin with START, targets end with END
-        from mrnn.model import sentence_inputs_targets
-        split, _, _ = generate_synthetic_corpus(Rng(3), 6)
+        from mrnn.model import ModelConfig, ModelParams, sentence_layers
+        split, _, vocab = generate_synthetic_corpus(Rng(3), 6)
+        params = ModelParams.initialize(ModelConfig(vocab_size=vocab.size, d_i=2, d_e1=2,
+                                                    d_e2=2, d_r=2, d_m=2), Rng(0))
         for ex in split.train:
-            inputs, targets = sentence_inputs_targets(ex.tokens)
-            assert inputs[0] == START_INDEX
-            assert targets[-1] == END_INDEX
-            assert len(inputs) == len(targets) == len(ex.tokens) + 1
+            trace, _ = sentence_layers(params, [ex.tokens])
+            assert_array_equal(trace.inputs, [START_INDEX, *ex.tokens])
+            assert_array_equal(trace.targets, [*ex.tokens, END_INDEX])

@@ -289,9 +289,10 @@ class TestRecallCurve:
         means = [m for _, m in curve.points]
         assert means == sorted(means)
 
-    def test_invalid_fraction(self):
+    @pytest.mark.parametrize("fractions", [[0.0], []], ids=["zero", "empty"])
+    def test_invalid_fraction(self, fractions):
         with pytest.raises(ValueError):
-            recall_curve(np.ones((1, 2)), {0: {0}}, [0.0])
+            recall_curve(np.ones((1, 2)), {0: {0}}, fractions)
 
 
 class TestShortlist:

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from helpers import randomize_biases
 from mrnn import inference
 from mrnn.corpus import build_vocabulary
+from mrnn.evaluation import retrieval_eval
 from mrnn.inference import (GenerationConfig, generate, log2_sum_exp2,
                             log2prob_matrix, marginal_log2prob,
                             normalized_log2prob_matrix, sentence_log2prob)
-from mrnn.model import ModelConfig, ModelParams
+from mrnn.model import ModelConfig, ModelParams, sentence_layers
 from mrnn.numerics import Rng
 
 VOCAB = build_vocabulary(["sand waves shore surf", "summit ridge pines glacier"])
@@ -76,6 +78,19 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GenerationConfig(mode="beam")
 
+    @pytest.mark.parametrize("limits", [dict(max_length=2), dict(max_length=9, force_length=2)],
+                             ids=["max_length", "force_length"])
+    def test_prefix_longer_than_the_limit_is_refused(self, limits):
+        with pytest.raises(ValueError, match="prefix has 3 words.*limit of 2"):
+            GenerationConfig(prefix=VOCAB.encode("sand sand sand"), **limits)
+
+    @pytest.mark.parametrize("limits", [dict(max_length=2), dict(max_length=1, force_length=2)],
+                             ids=["max_length", "force_length"])
+    def test_prefix_at_the_limit_is_the_whole_output(self, limits):
+        out = generate(make_params(5), VOCAB, FEAT,
+                       GenerationConfig(prefix=VOCAB.encode("sand waves"), **limits))
+        assert out == ["sand", "waves"]
+
 
 class TestSentenceLog2Prob:
     def test_uniform_model_ppl_is_vocab_size(self):
@@ -109,9 +124,14 @@ class TestLog2ProbMatrix:
         return np.array([[sentence_log2prob(params, t, f)[0] for f in feats]
                          for t in sentences])
 
-    # chunk elements: one image per chunk, three images per 2-step chunk
-    # (so 10 images end in a partial chunk), and the default bound
-    @pytest.mark.parametrize("chunk_elements", [1, 3 * 2 * VOCAB.size, None])
+    # chunk elements (the longest sentence has 6 framed steps, the widest
+    # layer is V): one sentence per pack and one image per chunk; three
+    # images per 2-step chunk (so 10 images end in a partial chunk); the
+    # default bound, one pack of every sentence; packs of two sentences of
+    # mixed lengths, the first pack's 3 rows taking 4 images per chunk; and
+    # a bound below the longest sentence, which sits alone in its pack
+    @pytest.mark.parametrize("chunk_elements", [1, 3 * 2 * VOCAB.size, None,
+                                                2 * 6 * VOCAB.size, 5 * VOCAB.size])
     @pytest.mark.parametrize("n_images", [1, 10])
     def test_matches_per_step_oracle(self, monkeypatch, chunk_elements, n_images):
         if chunk_elements is not None:
@@ -123,6 +143,48 @@ class TestLog2ProbMatrix:
             assert got.shape == (len(self.SENTENCES), n_images)
             np.testing.assert_allclose(got, self.oracle(params, self.SENTENCES, feats),
                                        rtol=0, atol=1e-12)
+
+    def test_repeats_get_identical_rows_and_tie_by_candidate_id(self, monkeypatch):
+        # two sentences per pack: were each copy scored, the three copies of
+        # ``a`` would sit in three packs of different shapes
+        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 2 * 6 * VOCAB.size)
+        a = VOCAB.encode("summit ridge pines")
+        sentences = [a, [3], [3, 4, 5, 6, 7], a, [], a]
+        params = randomize_biases(make_params(5), 5)
+        feats = Rng(105).uniform(-1, 1, 3 * 4).reshape(4, 3)
+        got = log2prob_matrix(params, sentences, feats)
+        assert_array_equal(got[3], got[0])
+        assert_array_equal(got[5], got[0])
+        # i2t: every image ranks the sentences, whose candidate ids are out of
+        # list order; the copies of ``a`` (ids 5, 4 and 3) tie, lowest id first
+        ids = [5, 1, 0, 4, 2, 3]
+        for gt_id, copies_before in [(3, 0), (4, 1), (5, 2)]:
+            metrics = retrieval_eval(got.T, {q: {gt_id} for q in range(4)}, ks=(1,),
+                                     candidate_ids=ids)
+            assert metrics.ranks == [int((got[:, q] > got[0, q]).sum()) + copies_before + 1
+                                     for q in range(4)]
+
+    def test_packs_keep_activations_within_the_bound(self, monkeypatch):
+        # each distinct sentence is scored once, and every pack's (P, V)
+        # activations fit CHUNK_ELEMENTS unless the pack is one sentence
+        packs = []
+
+        def spy(params, token_lists):
+            trace, m_base = sentence_layers(params, token_lists)
+            packs.append((list(token_lists), len(trace)))
+            return trace, m_base
+
+        monkeypatch.setattr(inference, "sentence_layers", spy)
+        sentences = [[3, 4, 5, 6, 7], [4, 5, 6, 7, 8], [5, 6, 7, 8, 9], [3, 4, 5, 6, 7], [6, 7]]
+        # the longest sentence has 6 framed steps: packs of 1, 2 and 3
+        for chunk_elements in (2 * 5 * VOCAB.size, 2 * 6 * VOCAB.size, 3 * 6 * VOCAB.size):
+            monkeypatch.setattr(inference, "CHUNK_ELEMENTS", chunk_elements)
+            packs.clear()
+            log2prob_matrix(make_params(1), sentences, np.zeros((2, 3)))
+            scored = sorted(s for pack, _ in packs for s in pack)
+            assert scored == sorted(set(map(tuple, sentences)))
+            assert all(rows * VOCAB.size <= chunk_elements or len(pack) == 1
+                       for pack, rows in packs)
 
     def test_empty_inputs_give_empty_matrix(self):
         params = make_params(2)

@@ -6,13 +6,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradient,
                      per_step_backward, randomize_biases, sentence_backward,
-                     sentence_forward)
+                     sentence_forward, sentence_inputs_targets)
 from mrnn.corpus import build_vocabulary
 from mrnn.model import (ModelConfig, ModelParams, Packing, backward_batch,
                         backward_sentence, forward_batch, forward_sentence,
                         forward_step, load_checkpoint, nearest_words,
-                        output_logits, save_checkpoint, sentence_inputs_targets,
-                        sentence_layers)
+                        output_logits, save_checkpoint, sentence_layers)
 from mrnn.numerics import Rng, scaled_tanh, softmax
 
 
@@ -74,8 +73,8 @@ class TestForward:
     def test_empty_sentence_single_step(self):
         trace = forward_sentence(tiny_params(), [], FEAT)
         assert len(trace) == 1
-        inputs, targets = sentence_inputs_targets([])
-        assert inputs == [0] and targets == [1]
+        assert_array_equal(trace.inputs, [0])
+        assert_array_equal(trace.targets, [1])
 
     def test_trace_probabilities_normalized(self):
         trace = forward_sentence(tiny_params(seed=2), [1, 9, 2, 4], FEAT)
@@ -127,7 +126,7 @@ class TestForward:
     def test_batched_layers_match_forward_step(self):
         params = randomize_biases(tiny_params(seed=5), 5)
         inputs, _ = sentence_inputs_targets([1, 9, 2, 4])
-        _, m_base = sentence_layers(params, inputs)
+        _, m_base = sentence_layers(params, [[1, 9, 2, 4]])
         m = scaled_tanh(m_base + params["V_I"] @ FEAT)
         r = np.zeros(6)
         for t, w in enumerate(inputs):
@@ -136,7 +135,7 @@ class TestForward:
 
     def test_batched_word_index_out_of_range(self):
         with pytest.raises(IndexError):
-            sentence_layers(tiny_params(), [0, 11])
+            sentence_layers(tiny_params(), [[11]])
 
 
 class TestBackward:

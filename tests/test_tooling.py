@@ -44,6 +44,16 @@ def test_every_layer_weight_is_a_parameter(tracer):
     assert set(tracer.WEIGHT_LAYERS) <= names
 
 
+def test_tracer_self_test_bindings_exist():
+    # perfbench/test_perfbench.py::test_tracer_restores_every_binding reads
+    # these module-level imports, so a refactor that drops one fails here too
+    import mrnn.inference
+    import mrnn.model
+    import mrnn.numerics
+    assert mrnn.inference.forward_sentence is mrnn.model.forward_sentence
+    assert mrnn.model.matvec is mrnn.numerics.matvec
+
+
 def test_sentence_gradient_is_the_one_sentence_batch_gradient():
     # the tracer's training.sentence_gradient span still times one sentence's
     # gradient: the batch gradient of that sentence alone, in nat-loss units
