@@ -22,8 +22,8 @@ from .corpus import (MIN_COUNT, SynthSpec, build_dataset, build_vocabulary,
                      generate_synthetic_corpus, load_captions, load_features,
                      load_split_map, load_vocab, save_captions, save_features,
                      save_features_tsv, save_split_map, save_vocab)
-from .evaluation import (corpus_perplexity, generation_bleu, recall_curve,
-                         retrieval_eval, shortlist)
+from .evaluation import (check_fractions, corpus_perplexity, generation_bleu,
+                         recall_curve, retrieval_eval, shortlist)
 from .inference import (GenerationConfig, generate, log2prob_matrix,
                         normalized_log2prob_matrix)
 from .model import (VARIANTS, ModelConfig, backward_sentence, load_checkpoint,
@@ -291,42 +291,36 @@ def _norm_feature_set(dataset, store, k: int, seed: int) -> np.ndarray:
 
 
 def _retrieval_scores(args, params, subset, store, dataset):
-    """Score matrix, groundtruth and candidate ids for one direction."""
+    """Scores and same-shape boolean relevance for one direction, images in id
+    order and captions in subset order, so ties go to the lower id or caption."""
     require_counts(args, "--norm-images", "--shortlist")
     image_ids = sorted({ex.image_id for ex in subset})
+    row = {image_id: i for i, image_id in enumerate(image_ids)}
+    own = np.array([row[ex.image_id] for ex in subset])  # each caption's image row
+    relevant = own[:, None] == np.arange(len(image_ids))
+    feats = store.matrix(image_ids)
     tokens = [ex.tokens for ex in subset]
     if args.direction == "t2i":
-        log2p = log2prob_matrix(params, tokens, store.matrix(image_ids))
+        log2p = log2prob_matrix(params, tokens, feats)
         positions = np.array([len(t) + 1 for t in tokens])
-        # negative perplexity: higher = more relevant, ties by image id
-        scores = -(2.0 ** (-log2p / positions[:, None]))
-        gt = {q: {ex.image_id} for q, ex in enumerate(subset)}
-        return scores, gt, image_ids
+        # negative perplexity: higher = more relevant
+        return -(2.0 ** (-log2p / positions[:, None])), relevant
 
-    cand_ids = [f"s{i:06d}" for i in range(len(subset))]
     norm_feats = _norm_feature_set(dataset, store, args.norm_images, args.seed)
-    scores = normalized_log2prob_matrix(params, tokens, store.matrix(image_ids), norm_feats).T
-
+    scores = normalized_log2prob_matrix(params, tokens, feats, norm_feats).T
     if getattr(args, "shortlist", None):
-        near = shortlist(image_ids, store, size=args.shortlist, candidate_ids=image_ids)
-        # image_ids is sorted, so searchsorted turns an image id into its query
-        # row; object arrays, because numpy's str arrays drop trailing NULs
-        ids = np.array(image_ids, dtype=object)
-        near_rows = np.searchsorted(ids, np.array([near[i] for i in image_ids], dtype=object))
-        own_rows = np.searchsorted(ids, np.array([ex.image_id for ex in subset], dtype=object))
-        keep = np.zeros((len(ids), len(ids)), dtype=bool)
-        np.put_along_axis(keep, near_rows, True, axis=1)
-        scores[~keep[:, own_rows]] = -np.inf
-
-    gt = {q: {cand_ids[c] for c, ex in enumerate(subset) if ex.image_id == image_id}
-          for q, image_id in enumerate(image_ids)}
-    return scores, gt, cand_ids
+        keep = np.zeros((len(image_ids), len(image_ids)), dtype=bool)
+        np.put_along_axis(keep, shortlist(feats, feats, size=args.shortlist), True, axis=1)
+        scores[~keep[:, own]] = -np.inf
+    return scores, relevant.T
 
 
 def cmd_eval_retrieval(args) -> int:
+    if args.direction == "t2i" and args.shortlist is not None:
+        raise ValueError("--shortlist restricts the i2t candidates; t2i takes none")
     params, _, subset, store, dataset = _load_eval_inputs(args)
-    scores, gt, cand_ids = _retrieval_scores(args, params, subset, store, dataset)
-    metrics = retrieval_eval(scores, gt, ks=(1, 5, 10), candidate_ids=cand_ids)
+    scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
+    metrics = retrieval_eval(scores, relevant, ks=(1, 5, 10))
     print(f"{args.direction} R@1 {metrics.r_at[1]:.1f} R@5 {metrics.r_at[5]:.1f} "
           f"R@10 {metrics.r_at[10]:.1f} Med_r {metrics.med_r}")
     _write_metrics(args, "eval-retrieval",
@@ -340,10 +334,11 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_eval_curve(args) -> int:
-    params, _, subset, store, dataset = _load_eval_inputs(args)
     fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
-    scores, gt, cand_ids = _retrieval_scores(args, params, subset, store, dataset)
-    curve = recall_curve(scores, gt, fractions, candidate_ids=cand_ids)
+    check_fractions(fractions)
+    params, _, subset, store, dataset = _load_eval_inputs(args)
+    scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
+    curve = recall_curve(scores, relevant, fractions)
     rows = "".join(f"{f!r},{mean!r}\n" for f, mean in curve.points)
     print(rows, end="")
     _write_eval_files(args, "eval-curve",
@@ -363,8 +358,8 @@ def cmd_gradcheck(args) -> int:
             raise ValueError(f"--corrupt {args.corrupt!r} is not a block of the "
                              f"{args.variant} variant; valid blocks: {', '.join(blocks)}")
 
-        def grad_fn(params, trace, targets, feat, _block=args.corrupt):
-            grads, loss = backward_sentence(params, trace, targets, feat)
+        def grad_fn(params, trace, _block=args.corrupt):
+            grads, loss = backward_sentence(params, trace)
             grads.arrays[_block] += 0.01
             return grads, loss
 

@@ -92,38 +92,30 @@ class RecallCurve:
     points: list[tuple[float, float]]
 
 
-def _ranked_hits(scores: np.ndarray, groundtruth: dict[int, set],
-                 candidate_ids: list | None) -> np.ndarray:
-    """(queries, candidates) bools: is the candidate at each rank groundtruth?
+def _ranked_hits(scores: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """(queries, candidates) bools: is the candidate at each rank relevant?
 
-    Every row is ranked at once by descending score, then ascending candidate
-    id, so a tie never favours the groundtruth and a ``-inf`` score ranks last.
+    Every row is ranked at once by descending score, ties to the lower
+    column, so a tie never favours the relevant and ``-inf`` ranks last.
     """
-    n_q, n_c = scores.shape
-    if candidate_ids is None:
-        candidate_ids = list(range(n_c))
-    column = {cid: j for j, cid in enumerate(candidate_ids)}
-    is_gt = np.zeros((n_q, n_c), dtype=bool)
-    for q in range(n_q):
-        is_gt[q, [column[c] for c in groundtruth[q] if c in column]] = True
-    id_rank = np.empty(n_c, dtype=np.intp)
-    id_rank[sorted(range(n_c), key=candidate_ids.__getitem__)] = np.arange(n_c)
-    order = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores), axis=1)
-    return np.take_along_axis(is_gt, order, axis=1)
+    scores, relevant = np.asarray(scores), np.asarray(relevant, dtype=bool)
+    if relevant.shape != scores.shape:
+        raise ValueError(f"relevance shape {relevant.shape} is not the scores' {scores.shape}")
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.take_along_axis(relevant, order, axis=1)
 
 
-def retrieval_eval(scores: np.ndarray, groundtruth: dict[int, set],
-                   ks: tuple[int, ...] = (1, 5, 10),
-                   candidate_ids: list | None = None) -> RetrievalMetrics:
-    """R@K and median rank of the first retrieved groundtruth item.
+def retrieval_eval(scores: np.ndarray, relevant: np.ndarray,
+                   ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalMetrics:
+    """R@K and median rank of the first retrieved relevant candidate.
 
-    ``scores`` is queries x candidates with higher meaning more relevant;
-    ``groundtruth`` maps query row -> set of candidate ids.  The median is
-    the lower median, so it is always an attained integer rank.
+    ``scores`` is queries x candidates, higher meaning more relevant, and
+    ``relevant`` the same shape, True for groundtruth.  The median is the
+    lower median, so it is always an attained integer rank.
     """
-    hits = _ranked_hits(np.asarray(scores), groundtruth, candidate_ids)
+    hits = _ranked_hits(scores, relevant)
     if not hits.any(axis=1).all():
-        raise ValueError("query has no groundtruth candidate in the candidate set")
+        raise ValueError("a query has no relevant candidate")
     ranks = (hits.argmax(axis=1) + 1).tolist()
     n_q = len(ranks)
     r_at = {k: 100.0 * sum(r <= k for r in ranks) / n_q for k in ks}
@@ -131,40 +123,38 @@ def retrieval_eval(scores: np.ndarray, groundtruth: dict[int, set],
     return RetrievalMetrics(r_at, med_r, ranks)
 
 
-def recall_curve(scores: np.ndarray, groundtruth: dict[int, set],
-                 fractions: list[float],
-                 candidate_ids: list | None = None) -> RecallCurve:
-    """Mean number of groundtruth items inside the top ceil(f * C) retrieved."""
+def check_fractions(fractions: list[float]) -> None:
+    """Recall-curve fractions: at least one, each in (0, 1]."""
     if not fractions:
         raise ValueError("need at least one fraction")
     if any(not 0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
-    hits = _ranked_hits(np.asarray(scores), groundtruth, candidate_ids)
+
+
+def recall_curve(scores: np.ndarray, relevant: np.ndarray,
+                 fractions: list[float]) -> RecallCurve:
+    """Mean number of relevant candidates inside the top ceil(f * C) retrieved."""
+    check_fractions(fractions)
+    hits = _ranked_hits(scores, relevant)
     n_q, n_c = hits.shape
-    # found[t]: groundtruth items inside the top t, summed over the queries
+    # found[t]: relevant candidates inside the top t, summed over the queries
     found = [0] + np.cumsum(hits.sum(axis=0)).tolist()
     return RecallCurve([(f, found[math.ceil(f * n_c)] / n_q) for f in fractions])
 
 
-def shortlist(query_ids: list[str], store: ImageFeatureStore, size: int = 100,
-              candidate_ids: list[str] | None = None) -> dict[str, list[str]]:
-    """Per-query ids of the ``size`` nearest candidate images in feature space,
-    nearest first, ties by id.
-
-    Candidates are ``candidate_ids`` or, by default, every stored image.  A
-    query that is also a candidate is always part of its own shortlist
-    (distance zero).
+def shortlist(queries: np.ndarray, candidates: np.ndarray, size: int = 100) -> np.ndarray:
+    """(Q, size) rows of the candidates nearest each query in feature space,
+    nearest first, ties to the lower row; a query that is also a candidate
+    is in its own shortlist (distance zero) unless ``size`` lower rows are
+    duplicates of it.
     """
-    cand_ids = store.ids() if candidate_ids is None else sorted(candidate_ids)
-    if len(cand_ids) < size:
-        raise ValueError(f"{len(cand_ids)} candidate images, shortlist needs {size}")
-    cands = store.matrix(cand_ids)
-    dists = np.empty((len(query_ids), len(cand_ids)))
-    for q, qvec in enumerate(store.matrix(query_ids)):
-        dists[q] = np.linalg.norm(cands - qvec, axis=1)
-    # the columns are in id order, so a stable sort breaks distance ties by id
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, :size]
-    return {qid: [cand_ids[j] for j in row] for qid, row in zip(query_ids, nearest)}
+    queries, candidates = np.asarray(queries), np.asarray(candidates)
+    if len(candidates) < size:
+        raise ValueError(f"{len(candidates)} candidate images, shortlist needs {size}")
+    dists = np.empty((len(queries), len(candidates)))
+    for q, qvec in enumerate(queries):
+        dists[q] = np.linalg.norm(candidates - qvec, axis=1)
+    return np.argsort(dists, axis=1, kind="stable")[:, :size]
 
 
 # ---------------------------------------------------------------------------

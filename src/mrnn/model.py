@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,18 +257,23 @@ def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
     return y, r
 
 
-def packed_layers(params: ModelParams, inputs: np.ndarray,
-                  packing: Packing) -> tuple[ForwardTrace, np.ndarray | None]:
-    """The layers below the image over packed input words.
+def sentence_layers(params: ModelParams,
+                    token_lists) -> tuple[ForwardTrace, np.ndarray | None]:
+    """The layers below the image over B sentences of content tokens, packed.
 
-    Returns a trace with ``inputs``, ``r``, ``packing``, ``e1`` and ``e2``
-    filled, and the image-free multimodal pre-activation
-    ``e2 . V_w + r . V_r + b_m``, (P, d_m) (None for the baseline): adding
-    ``V_I . I`` gives it for image I.  Each layer is one matrix product over
-    the P rows; only the carry through the recurrent weight is a loop, over
-    the steps, with one row per sentence still running.
+    The start sign is input-only and the end sign target-only, so L tokens
+    unroll into L+1 prediction steps.  Returns a trace with ``inputs``,
+    ``targets``, ``r``, ``packing``, ``e1`` and ``e2`` filled, and the
+    image-free multimodal pre-activation ``e2 . V_w + r . V_r + b_m``,
+    (P, d_m) (None for the baseline): adding ``V_I . I`` gives it for image
+    I.  Each layer is one matrix product over the P rows; only the carry
+    through the recurrent weight is a loop over the steps, with one row per
+    sentence still running.
     """
     cfg = params.config
+    packing = Packing.of([len(tokens) + 1 for tokens in token_lists])
+    inputs = packing.pack([[START_INDEX, *tokens] for tokens in token_lists])
+    targets = packing.pack([[*tokens, END_INDEX] for tokens in token_lists])
     bad = inputs[(inputs < 0) | (inputs >= cfg.vocab_size)]
     if bad.size:
         raise IndexError(f"word index {bad[0]} out of range for M={cfg.vocab_size}")
@@ -286,23 +291,9 @@ def packed_layers(params: ModelParams, inputs: np.ndarray,
         state = activation(state[:hi - lo] @ weight_t + drive[lo:hi])
         r[lo + 1:hi + 1] = state
     if cfg.variant == "baseline":
-        return ForwardTrace(inputs, r, packing), None
+        return ForwardTrace(inputs, r, packing, targets), None
     m_base = e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
-    return ForwardTrace(inputs, r, packing, e1=e1, e2=e2), m_base
-
-
-def sentence_layers(params: ModelParams,
-                    token_lists) -> tuple[ForwardTrace, np.ndarray | None]:
-    """``packed_layers`` over B sentences of content tokens, framed and packed.
-
-    The start sign is input-only and the end sign target-only, so L tokens
-    unroll into L+1 prediction steps.  The trace also has ``targets``.
-    """
-    packing = Packing.of([len(tokens) + 1 for tokens in token_lists])
-    trace, m_base = packed_layers(
-        params, packing.pack([[START_INDEX, *tokens] for tokens in token_lists]), packing)
-    trace.targets = packing.pack([[*tokens, END_INDEX] for tokens in token_lists])
-    return trace, m_base
+    return ForwardTrace(inputs, r, packing, targets, e1=e1, e2=e2), m_base
 
 
 def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
@@ -397,19 +388,13 @@ def backward_batch(params: ModelParams, trace: ForwardTrace,
     }), loss
 
 
-def backward_sentence(params: ModelParams, trace: ForwardTrace, targets: list[int],
-                      image_feature: np.ndarray | None) -> tuple[Gradients, float]:
+def backward_sentence(params: ModelParams, trace: ForwardTrace) -> tuple[Gradients, float]:
     """Exact gradients of one sentence's summed nat-log loss and that loss:
-    ``backward_batch`` for one sentence, with weight 1.
+    ``backward_batch`` of a one-sentence trace, with weight 1.
 
     The loss is in natural-log units; base-2 conversion happens at
     reporting boundaries.
     """
-    if len(targets) != len(trace):
-        raise ValueError(f"{len(targets)} targets for a trace of length {len(trace)}")
-    feats = (None if params.config.variant == "baseline"
-             else _image_feature(params, image_feature)[None])
-    trace = replace(trace, targets=np.asarray(targets, dtype=np.intp), feats=feats)
     return backward_batch(params, trace, [1.0])
 
 

@@ -277,7 +277,7 @@ def gradient_check(n_samples: int = 20, seed: int = 0, variant: str = "mrnn",
     For every parameter block the relative error is
     ||analytic - numeric||_2 / (||analytic||_2 + ||numeric||_2); the check
     passes when the worst block over all instances stays below the
-    threshold.  Runs in float64.  ``grad_fn`` exists so tests can inject a
+    threshold.  Runs in float64.  ``grad_fn(params, trace)`` exists so tests can inject a
     deliberately corrupted backward pass as a negative control.
     """
     if grad_fn is None:
@@ -291,7 +291,7 @@ def gradient_check(n_samples: int = 20, seed: int = 0, variant: str = "mrnn",
         feat = rng.uniform(-1.0, 1.0, cfg.d_i) if variant == "mrnn" else None
         tokens = [rng.randint(cfg.vocab_size) for _ in range(sentence_len)]
         trace = forward_sentence(params, tokens, feat)
-        analytic, _ = grad_fn(params, trace, trace.targets, feat)
+        analytic, _ = grad_fn(params, trace)
 
         for name, arr in params.arrays.items():
             numeric = np.zeros_like(arr)

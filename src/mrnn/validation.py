@@ -1,4 +1,4 @@
-"""Input validation helpers shared by the estimator and the CLI."""
+"""Input validation helpers for the estimator (``MRNNCaptioner``)."""
 
 from __future__ import annotations
 

@@ -56,25 +56,26 @@ def oracle_bleu(candidates, references, n_max=3, cumulative=True):
     return out
 
 
-def oracle_first_rank(scores_row, gt_ids, candidate_ids):
-    """Rank of the first groundtruth by pairwise counting (no sorting).
+def oracle_first_rank(scores_row, relevant_row):
+    """Rank of the first relevant candidate by pairwise counting (no sorting).
 
     candidate j outranks candidate i when its score is higher, or equal with
-    a smaller id.  The first groundtruth's rank is 1 plus the number of
-    candidates that outrank the best-placed groundtruth.
+    a lower column.  The first relevant candidate's rank is 1 plus the
+    number of candidates that outrank the best-placed relevant one.
     """
+    n_c = len(scores_row)
     best = None
-    for i, cid in enumerate(candidate_ids):
-        if cid not in gt_ids:
+    for i in range(n_c):
+        if not relevant_row[i]:
             continue
         ahead = sum(
-            1 for j in range(len(candidate_ids)) if j != i and (
+            1 for j in range(n_c) if j != i and (
                 scores_row[j] > scores_row[i]
-                or (scores_row[j] == scores_row[i] and candidate_ids[j] < cid)))
+                or (scores_row[j] == scores_row[i] and j < i)))
         if best is None or ahead + 1 < best:
             best = ahead + 1
     if best is None:
-        raise ValueError("no groundtruth candidate")
+        raise ValueError("no relevant candidate")
     return best
 
 

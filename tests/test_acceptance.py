@@ -125,7 +125,7 @@ def test_criterion_5_retrieval_round_trip():
     t2i_hits = sum(image_ids[j] == ex.image_id for j, ex in zip(best, examples))
     t2i_scores = np.array([[-sentence_log2prob(params, ex.tokens, store.get(i))[1]
                             for i in image_ids] for ex in examples])
-    t2i_gt = {q: {ex.image_id} for q, ex in enumerate(examples)}
+    t2i_relevant = np.array([[i == ex.image_id for i in image_ids] for ex in examples])
 
     # image -> text: normalized probability, marginal over all 50 train images
     norm = [store.get(i) for i in image_ids]
@@ -133,18 +133,16 @@ def test_criterion_5_retrieval_round_trip():
     i2t_scores = np.array(
         [[sentence_log2prob(params, ex.tokens, store.get(q))[0] - m
           for ex, m in zip(examples, marginals)] for q in image_ids])
-    cand_ids = list(range(len(examples)))
-    i2t_gt = {q: {c for c, ex in enumerate(examples) if ex.image_id == image_id}
-              for q, image_id in enumerate(image_ids)}
+    i2t_relevant = t2i_relevant.T
 
-    t2i_metrics = retrieval_eval(t2i_scores, t2i_gt, candidate_ids=image_ids)
-    i2t_metrics = retrieval_eval(i2t_scores, i2t_gt, candidate_ids=cand_ids)
+    t2i_metrics = retrieval_eval(t2i_scores, t2i_relevant)
+    i2t_metrics = retrieval_eval(i2t_scores, i2t_relevant)
     i2t_hits = sum(r == 1 for r in i2t_metrics.ranks)
 
     # exact agreement with the brute-force rank oracle
-    t2i_oracle = [oracle_first_rank(t2i_scores[q], t2i_gt[q], image_ids)
+    t2i_oracle = [oracle_first_rank(t2i_scores[q], t2i_relevant[q])
                   for q in range(len(examples))]
-    i2t_oracle = [oracle_first_rank(i2t_scores[q], i2t_gt[q], cand_ids)
+    i2t_oracle = [oracle_first_rank(i2t_scores[q], i2t_relevant[q])
                   for q in range(len(image_ids))]
     oracle_match = (t2i_metrics.ranks == t2i_oracle
                     and i2t_metrics.ranks == i2t_oracle
@@ -190,8 +188,9 @@ def test_criterion_6_metric_oracles():
     rng = Rng(78)
     scores = np.array([[rng.random() for _ in range(9)] for _ in range(5)])
     gt = {q: {(q * 2) % 9, (q * 2 + 1) % 9} for q in range(5)}
+    relevant = np.array([[j in gt[q] for j in range(9)] for q in range(5)])
     fractions = [0.12, 0.3, 0.5, 0.78, 1.0]
-    curve = recall_curve(scores, gt, fractions)
+    curve = recall_curve(scores, relevant, fractions)
     curve_ok = True
     for f, mean in curve.points:
         top = math.ceil(f * 9)
@@ -200,15 +199,13 @@ def test_criterion_6_metric_oracles():
                 if j in gt[q]) for q in range(5))
         curve_ok &= mean == total / 5
 
-    store = ImageFeatureStore([f"im{i}" for i in range(8)],
-                              Rng(79).uniform(-1, 1, 24).reshape(8, 3))
-    near = shortlist(store.ids(), store, size=4)
+    points = Rng(79).uniform(-1, 1, 24).reshape(8, 3)
+    near = shortlist(points, points, size=4)
     short_ok = True
-    for qid in store.ids():
-        qvec = store.get(qid)
-        expected = sorted(store.ids(),
-                          key=lambda c: (float(np.linalg.norm(store.get(c) - qvec)), c))[:4]
-        short_ok &= near[qid] == expected
+    for q, qvec in enumerate(points):
+        expected = sorted(range(8),
+                          key=lambda c: (float(np.linalg.norm(points[c] - qvec)), c))[:4]
+        short_ok &= near[q].tolist() == expected
 
     ok = bleu_ok and curve_ok and short_ok
     report(6, ok, f"BLEU vs brute-force oracle on 20 fixtures: worst abs diff "

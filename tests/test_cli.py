@@ -361,6 +361,36 @@ class TestEval:
         means = [float(line.split(",")[1]) for line in lines[1:]]
         assert means == sorted(means)
 
+    @pytest.mark.parametrize("direction", ["t2i", "i2t"])
+    @pytest.mark.parametrize("fractions", ["", "0"], ids=["empty", "zero"])
+    def test_bad_fractions_are_refused_before_scoring(self, workspace, capsys, monkeypatch,
+                                                      fractions, direction):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("pairs were scored")
+        monkeypatch.setattr(cli, "log2prob_matrix", no_scoring)
+        monkeypatch.setattr(cli, "normalized_log2prob_matrix", no_scoring)
+        code, out, err = run_main(capsys, "eval", "curve", "--direction", direction,
+                                  *eval_args(workspace), "--subset", "train",
+                                  "--fractions", fractions)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "fraction" in lines[0]
+
+    def test_t2i_shortlist_is_refused_before_loading(self, workspace, tmp_path, capsys):
+        # the input paths do not exist: the flag is refused before any is read
+        missing = [str(tmp_path / name) for name in ("m", "v", "c", "f")]
+        args = ["--checkpoint", missing[0], "--vocab", missing[1],
+                "--captions", missing[2], "--features", missing[3]]
+        code, out, err = run_main(capsys, "eval", "retrieval", "--direction", "t2i",
+                                  *args, "--shortlist", "2", "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--shortlist" in lines[0]
+        assert not (tmp_path / "o").exists()
+        code, _, err = run_main(capsys, "eval", "retrieval", "--direction", "t2i",
+                                *eval_args(workspace), "--subset", "train", "--shortlist", "2")
+        assert code == 1 and err.count("\n") == 1 and "--shortlist" in err
+
     def test_curve_i2t_direction(self, workspace):
         proc = run_cli("eval", "curve", "--direction", "i2t",
                        *eval_args(workspace), "--subset", "train",
@@ -604,16 +634,21 @@ class TestRetrievalScores:
 
     def test_t2i_matches_per_pair_oracle(self, setup):
         params, dataset, store = setup
-        scores, _, image_ids = self.scores(setup, "t2i")
+        scores, relevant = self.scores(setup, "t2i")
+        image_ids = sorted({ex.image_id for ex in dataset.train})
         oracle = [[-sentence_log2prob(params, ex.tokens, store.get(i))[1] for i in image_ids]
                   for ex in dataset.train]
         np.testing.assert_allclose(scores, oracle, rtol=1e-12, atol=0)
+        assert relevant.tolist() == [[ex.image_id == i for i in image_ids]
+                                     for ex in dataset.train]
 
     @pytest.mark.parametrize("shortlist", [None, 3])
     def test_i2t_matches_per_pair_oracle(self, setup, shortlist):
         params, dataset, store = setup
-        scores, _, _ = self.scores(setup, "i2t", shortlist)
+        scores, relevant = self.scores(setup, "i2t", shortlist)
         image_ids = sorted({ex.image_id for ex in dataset.train})
+        assert relevant.tolist() == [[ex.image_id == i for ex in dataset.train]
+                                     for i in image_ids]
         norm = sorted(Rng(2).choice(image_ids, 4))
         oracle = np.empty((len(image_ids), len(dataset.train)))
         for c, ex in enumerate(dataset.train):
@@ -627,7 +662,7 @@ class TestRetrievalScores:
 
     def test_i2t_shortlist_keeps_the_captions_of_the_nearest_images(self, setup):
         params, dataset, store = setup
-        scores, _, _ = self.scores(setup, "i2t", 3)
+        scores, _ = self.scores(setup, "i2t", 3)
         image_ids = sorted({ex.image_id for ex in dataset.train})
         for q, qid in enumerate(image_ids):
             qvec = store.get(qid)
@@ -645,9 +680,10 @@ class TestRetrievalScores:
         subset = [CaptionedExample(image_id, ex.tokens, "")
                   for image_id, ex in zip(ids * 2, dataset.train)]
         args = argparse.Namespace(direction="i2t", norm_images=4, seed=2, shortlist=1)
-        scores, _, _ = _retrieval_scores(args, params, subset, store, DatasetSplit(subset))
+        scores, relevant = _retrieval_scores(args, params, subset, store, DatasetSplit(subset))
         own = [[ex.image_id == image_id for ex in subset] for image_id in sorted(ids)]
         assert np.isfinite(scores).tolist() == own
+        assert relevant.tolist() == own
 
 
 class TestGradcheckCli:

@@ -147,99 +147,111 @@ class TestCorpusPerplexity:
             corpus_perplexity(self.zero_params(), [example("im0", [3, 4])], None)
 
 
-def tied_masked_fixture():
-    """Scores over unsorted string candidate ids, with exact ties and with
-    ``-inf`` entries (what an i2t shortlist mask writes).
+def relevance(n_q, n_c, columns):
+    """(n_q, n_c) bools, True at ``columns[q]`` in row q."""
+    relevant = np.zeros((n_q, n_c), dtype=bool)
+    for q in range(n_q):
+        relevant[q, list(columns[q])] = True
+    return relevant
 
-    Query 0 ties everywhere, query 1 has every groundtruth masked, and the
-    rest draw from three values, a quarter of them masked.
+
+def tied_masked_fixture():
+    """Scores with exact ties and with ``-inf`` entries (what an i2t
+    shortlist mask writes), and their relevance matrix.
+
+    Query 0 ties everywhere, query 1 has every relevant candidate masked,
+    and the rest draw from three values, a quarter of them masked.
     """
-    cids = ["s07", "s02", "s11", "s00", "s05", "s09", "s01", "s10"]
     rng = Rng(17)
-    scores = np.array([[float(rng.randint(3)) for _ in cids] for _ in range(8)])
+    scores = np.array([[float(rng.randint(3)) for _ in range(8)] for _ in range(8)])
     scores[rng.uniform(0, 1, scores.size).reshape(scores.shape) < 0.25] = -np.inf
     scores[0] = 1.0
     scores[1] = [-np.inf, 2.0, -np.inf, 0.5, 2.0, -np.inf, 0.5, 1.0]
-    gt = {q: {cids[(3 * q) % 8], cids[(5 * q + 2) % 8]} for q in range(8)}
-    gt[1] = {"s07", "s11"}
-    return scores, gt, cids
+    columns = {q: {(3 * q) % 8, (5 * q + 2) % 8} for q in range(8)}
+    columns[0] = {4, 7}
+    columns[1] = {0, 2}
+    return scores, relevance(8, 8, columns)
 
 
 class TestRetrievalEval:
     def test_oracle_scores(self):
         scores = np.array([[9.0, 1, 2], [1, 9, 2], [2, 1, 9]])
-        gt = {0: {0}, 1: {1}, 2: {2}}
-        metrics = retrieval_eval(scores, gt, ks=(1, 5, 10))
+        metrics = retrieval_eval(scores, np.eye(3, dtype=bool), ks=(1, 5, 10))
         assert metrics.r_at[1] == 100.0
         assert metrics.med_r == 1
 
     def test_anti_oracle(self):
         n_c = 6
         scores = np.tile(np.arange(n_c, 0, -1, dtype=float), (3, 1))
-        gt = {q: {n_c - 1} for q in range(3)}  # groundtruth always scores lowest
-        metrics = retrieval_eval(scores, gt, ks=(1, 5))
+        relevant = relevance(3, n_c, [{n_c - 1}] * 3)  # the relevant one always scores lowest
+        metrics = retrieval_eval(scores, relevant, ks=(1, 5))
         assert metrics.r_at[1] == 0.0 and metrics.r_at[5] == 0.0
         assert metrics.med_r == n_c
 
     def test_random_fixture_matches_rank_oracle(self):
         rng = Rng(9)
         scores = np.array([[rng.random() for _ in range(4)] for _ in range(3)])
-        gt = {0: {1, 3}, 1: {0}, 2: {2}}
-        cids = list(range(4))
-        metrics = retrieval_eval(scores, gt, ks=(1, 2, 3, 4), candidate_ids=cids)
-        expected = [oracle_first_rank(scores[q], gt[q], cids) for q in range(3)]
+        relevant = relevance(3, 4, [{1, 3}, {0}, {2}])
+        metrics = retrieval_eval(scores, relevant, ks=(1, 2, 3, 4))
+        expected = [oracle_first_rank(scores[q], relevant[q]) for q in range(3)]
         assert metrics.ranks == expected
         assert metrics.med_r == sorted(expected)[(3 - 1) // 2]
 
     def test_r_at_k_monotone(self):
         rng = Rng(10)
         scores = np.array([[rng.random() for _ in range(8)] for _ in range(5)])
-        gt = {q: {q} for q in range(5)}
-        metrics = retrieval_eval(scores, gt, ks=(1, 2, 4, 8))
+        metrics = retrieval_eval(scores, np.eye(5, 8, dtype=bool), ks=(1, 2, 4, 8))
         vals = [metrics.r_at[k] for k in (1, 2, 4, 8)]
         assert vals == sorted(vals)
 
     def test_monotone_transform_invariance(self):
         rng = Rng(11)
         scores = np.array([[rng.random() for _ in range(6)] for _ in range(4)])
-        gt = {q: {(q + 1) % 6} for q in range(4)}
-        a = retrieval_eval(scores, gt)
-        b = retrieval_eval(np.exp(3 * scores) + 7, gt)
+        relevant = relevance(4, 6, [{(q + 1) % 6} for q in range(4)])
+        a = retrieval_eval(scores, relevant)
+        b = retrieval_eval(np.exp(3 * scores) + 7, relevant)
         assert a.ranks == b.ranks
 
     def test_ties_break_by_candidate_id_never_favoring_groundtruth(self):
+        # a candidate's id is its column: a tie goes to the lower column
         scores = np.array([[1.0, 1.0, 1.0]])
-        metrics = retrieval_eval(scores, {0: {2}}, ks=(1, 3))
+        metrics = retrieval_eval(scores, np.array([[False, False, True]]), ks=(1, 3))
         assert metrics.ranks == [3]
 
     def test_ties_and_masked_scores_match_rank_oracle(self):
-        scores, gt, cids = tied_masked_fixture()
-        metrics = retrieval_eval(scores, gt, ks=(1, 2, 5), candidate_ids=cids)
-        expected = [oracle_first_rank(scores[q], gt[q], cids) for q in range(len(scores))]
+        scores, relevant = tied_masked_fixture()
+        metrics = retrieval_eval(scores, relevant, ks=(1, 2, 5))
+        expected = [oracle_first_rank(scores[q], relevant[q]) for q in range(len(scores))]
         assert metrics.ranks == expected
-        assert expected[0] == 5  # all tied: s00, s01, s02, s05 come before "s07"
-        assert expected[1] == 6  # masked groundtruth ranks after all five finite scores
+        assert expected[0] == 5  # all tied: columns 0-3 come before column 4
+        assert expected[1] == 6  # masked relevant ones rank after all five finite scores
         assert metrics.med_r == sorted(expected)[(len(expected) - 1) // 2]
         assert metrics.r_at == {k: 100.0 * sum(r <= k for r in expected) / len(expected)
                                 for k in (1, 2, 5)}
         assert all(type(r) is int for r in metrics.ranks + [metrics.med_r])
 
     def test_missing_groundtruth_errors(self):
-        with pytest.raises(ValueError, match="groundtruth"):
-            retrieval_eval(np.ones((1, 3)), {0: {"nope"}})
+        with pytest.raises(ValueError, match="no relevant candidate"):
+            retrieval_eval(np.ones((2, 3)), np.array([[True, False, False], [False] * 3]))
 
     def test_lower_median_for_even_counts(self):
         scores = np.array([[2.0, 1.0], [1.0, 2.0]])
-        gt = {0: {0}, 1: {0}}  # ranks 1 and 2 -> lower median 1
-        assert retrieval_eval(scores, gt).med_r == 1
+        relevant = np.array([[True, False], [True, False]])  # ranks 1 and 2 -> lower median 1
+        assert retrieval_eval(scores, relevant).med_r == 1
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (4, 3), (3,)])
+    def test_relevance_of_another_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            retrieval_eval(np.ones((3, 4)), np.ones(shape, dtype=bool))
+        with pytest.raises(ValueError, match="shape"):
+            recall_curve(np.ones((3, 4)), np.ones(shape, dtype=bool), [1.0])
 
 
 class TestRecallCurve:
     def test_full_fraction_counts_all_groundtruth(self):
         rng = Rng(12)
         scores = np.array([[rng.random() for _ in range(5)] for _ in range(3)])
-        gt = {0: {0, 1}, 1: {2}, 2: {3, 4}}
-        curve = recall_curve(scores, gt, [1.0])
+        curve = recall_curve(scores, relevance(3, 5, [{0, 1}, {2}, {3, 4}]), [1.0])
         assert curve.points[0][1] == pytest.approx((2 + 1 + 2) / 3)
 
     def test_oracle_scores_single_groundtruth(self):
@@ -247,8 +259,7 @@ class TestRecallCurve:
         scores = np.zeros((3, n_c))
         for q in range(3):
             scores[q, q] = 1.0
-        gt = {q: {q} for q in range(3)}
-        curve = recall_curve(scores, gt, [1 / n_c, 0.5, 1.0])
+        curve = recall_curve(scores, np.eye(3, n_c, dtype=bool), [1 / n_c, 0.5, 1.0])
         assert [m for _, m in curve.points] == [1.0, 1.0, 1.0]
 
     def test_matches_brute_force_on_random_fixture(self):
@@ -257,7 +268,7 @@ class TestRecallCurve:
         scores = np.array([[rng.random() for _ in range(n_c)] for _ in range(n_q)])
         gt = {q: {(2 * q) % n_c, (2 * q + 1) % n_c} for q in range(n_q)}
         fractions = [0.15, 0.3, 0.6, 1.0]
-        curve = recall_curve(scores, gt, fractions)
+        curve = recall_curve(scores, relevance(n_q, n_c, gt), fractions)
         for f, mean in curve.points:
             top = math.ceil(f * n_c)
             total = 0
@@ -267,79 +278,72 @@ class TestRecallCurve:
             assert mean == pytest.approx(total / n_q)
 
     def test_ties_and_masked_scores_match_brute_force(self):
-        scores, gt, cids = tied_masked_fixture()
+        scores, relevant = tied_masked_fixture()
+        n_q, n_c = scores.shape
         fractions = [0.1, 0.25, 0.5, 0.8, 1.0]
-        curve = recall_curve(scores, gt, fractions, candidate_ids=cids)
+        curve = recall_curve(scores, relevant, fractions)
         expected = []
         for f in fractions:
-            top = math.ceil(f * len(cids))
+            top = math.ceil(f * n_c)
             total = 0
-            for q in range(len(scores)):
-                order = sorted(range(len(cids)), key=lambda j: (-scores[q, j], cids[j]))
-                total += sum(1 for j in order[:top] if cids[j] in gt[q])
-            expected.append((f, total / len(scores)))
+            for q in range(n_q):
+                order = sorted(range(n_c), key=lambda j: (-scores[q, j], j))
+                total += sum(1 for j in order[:top] if relevant[q, j])
+            expected.append((f, total / n_q))
         assert curve.points == expected
         assert all(type(mean) is float for _, mean in curve.points)
 
     def test_monotone_nondecreasing(self):
         rng = Rng(14)
         scores = np.array([[rng.random() for _ in range(9)] for _ in range(4)])
-        gt = {q: {q, q + 3} for q in range(4)}
-        curve = recall_curve(scores, gt, [0.1, 0.2, 0.4, 0.7, 1.0])
+        curve = recall_curve(scores, relevance(4, 9, [{q, q + 3} for q in range(4)]),
+                             [0.1, 0.2, 0.4, 0.7, 1.0])
         means = [m for _, m in curve.points]
         assert means == sorted(means)
 
     @pytest.mark.parametrize("fractions", [[0.0], []], ids=["zero", "empty"])
     def test_invalid_fraction(self, fractions):
         with pytest.raises(ValueError):
-            recall_curve(np.ones((1, 2)), {0: {0}}, fractions)
+            recall_curve(np.ones((1, 2)), np.array([[True, False]]), fractions)
 
 
 class TestShortlist:
-    def make_store(self, n=5):
-        return ImageFeatureStore([f"im{i}" for i in range(n)], [[float(i), 0.0] for i in range(n)])
+    def make_points(self, n=5):
+        return np.array([[float(i), 0.0] for i in range(n)])
 
     def test_full_size_is_whole_store(self):
-        store = self.make_store(5)
-        near = shortlist(["im0"], store, size=5)
-        assert sorted(near["im0"]) == store.ids()
+        near = shortlist(self.make_points(1), self.make_points(5), size=5)
+        assert near.shape == (1, 5) and sorted(near[0]) == list(range(5))
 
     def test_query_always_in_own_shortlist(self):
-        store = self.make_store(5)
-        near = shortlist(store.ids(), store, size=2)
-        for qid in store.ids():
-            assert qid in near[qid]
-            assert near[qid][0] == qid  # distance zero ranks first
+        points = self.make_points(5)
+        near = shortlist(points, points, size=2)
+        assert near[:, 0].tolist() == list(range(5))  # distance zero ranks first
 
     def test_matches_brute_force(self):
-        store = ImageFeatureStore([f"im{i}" for i in range(5)],
-                                  Rng(15).uniform(-1, 1, 15).reshape(5, 3))
-        near = shortlist(store.ids(), store, size=3)
-        for qid in store.ids():
-            qvec = store.get(qid)
-            expected = sorted(store.ids(),
-                              key=lambda c: (float(np.linalg.norm(store.get(c) - qvec)), c))[:3]
-            assert near[qid] == expected
+        points = Rng(15).uniform(-1, 1, 15).reshape(5, 3)
+        near = shortlist(points, points, size=3)
+        for q, qvec in enumerate(points):
+            expected = sorted(range(5), key=lambda c: (float(np.linalg.norm(points[c] - qvec)), c))
+            assert near[q].tolist() == expected[:3]
 
     def test_store_too_small(self):
-        with pytest.raises(ValueError, match="shortlist"):
-            shortlist(["im0"], self.make_store(3), size=10)
+        with pytest.raises(ValueError, match="3 candidate images, shortlist needs 10"):
+            shortlist(self.make_points(1), self.make_points(3), size=10)
 
     def test_distance_ties_break_by_id(self):
-        # im1 and im3 both lie at distance 1 from im2
-        assert shortlist(["im2"], self.make_store(5), size=3) == {"im2": ["im2", "im1", "im3"]}
-        # many ties: 40 images on two points, past the sizes a sort handles by insertion
-        ids = [f"im{i:02d}" for i in range(40)]
-        store = ImageFeatureStore(ids, [[float(i % 3 == 0)] for i in range(40)])
-        near = shortlist(["im01"], store, size=40)["im01"]
-        assert near == [i for i in ids if int(i[2:]) % 3] + [i for i in ids if int(i[2:]) % 3 == 0]
+        # rows 1 and 3 both lie at distance 1 from row 2: the lower row first
+        points = self.make_points(5)
+        assert shortlist(points[[2]], points, size=3).tolist() == [[2, 1, 3]]
+        # many ties: 40 points on two spots, past the sizes a sort handles by insertion
+        points = np.array([[float(i % 3 == 0)] for i in range(40)])
+        near = shortlist(points[[1]], points, size=40)[0].tolist()
+        assert near == [i for i in range(40) if i % 3] + [i for i in range(40) if i % 3 == 0]
 
-    def test_candidate_ids_restrict_the_candidates(self):
-        store = self.make_store(6)
-        near = shortlist(["im1", "im4"], store, size=2, candidate_ids=["im5", "im0", "im3"])
-        assert near == {"im1": ["im0", "im3"], "im4": ["im3", "im5"]}
-        with pytest.raises(ValueError, match="2 candidate images, shortlist needs 3"):
-            shortlist(["im1"], store, size=3, candidate_ids=["im0", "im3"])
+    def test_queries_need_not_be_candidates(self):
+        points = self.make_points(6)
+        near = shortlist(points[[1, 4]], points[[0, 3, 5]], size=2)
+        assert near.tolist() == [[0, 1], [1, 2]]  # rows of the candidate matrix
 
 
 class TestGenerationBleu:

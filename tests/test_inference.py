@@ -155,12 +155,12 @@ class TestLog2ProbMatrix:
         got = log2prob_matrix(params, sentences, feats)
         assert_array_equal(got[3], got[0])
         assert_array_equal(got[5], got[0])
-        # i2t: every image ranks the sentences, whose candidate ids are out of
-        # list order; the copies of ``a`` (ids 5, 4 and 3) tie, lowest id first
-        ids = [5, 1, 0, 4, 2, 3]
-        for gt_id, copies_before in [(3, 0), (4, 1), (5, 2)]:
-            metrics = retrieval_eval(got.T, {q: {gt_id} for q in range(4)}, ks=(1,),
-                                     candidate_ids=ids)
+        # i2t: every image ranks the sentences; a candidate's id is its column,
+        # so the copies of ``a`` (columns 0, 3 and 5) tie, lowest column first
+        for column, copies_before in [(0, 0), (3, 1), (5, 2)]:
+            relevant = np.zeros((4, len(sentences)), dtype=bool)
+            relevant[:, column] = True
+            metrics = retrieval_eval(got.T, relevant, ks=(1,))
             assert metrics.ranks == [int((got[:, q] > got[0, q]).sum()) + copies_before + 1
                                      for q in range(4)]
 

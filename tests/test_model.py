@@ -144,15 +144,8 @@ class TestBackward:
         for variant in ("mrnn", "baseline"):
             params = ModelParams.zeros(tiny_config(variant))
             trace = forward_sentence(params, tokens, FEAT)
-            _, targets = sentence_inputs_targets(tokens)
-            _, loss = backward_sentence(params, trace, targets, FEAT)
+            _, loss = backward_sentence(params, trace)
             assert loss == pytest.approx((len(tokens) + 1) * np.log(11), abs=1e-9)
-
-    def test_length_mismatch(self):
-        params = tiny_params()
-        trace = forward_sentence(params, [1, 2], FEAT)
-        with pytest.raises(ValueError, match="targets"):
-            backward_sentence(params, trace, [1, 2], FEAT)
 
     @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
     def test_matches_finite_differences(self, variant):
@@ -160,8 +153,7 @@ class TestBackward:
         feat = None if variant == "baseline" else FEAT
         tokens = [2, 7, 4, 9, 1]
         trace = forward_sentence(params, tokens, feat)
-        _, targets = sentence_inputs_targets(tokens)
-        analytic, _ = backward_sentence(params, trace, targets, feat)
+        analytic, _ = backward_sentence(params, trace)
         numeric = numeric_sentence_gradient(params, tokens, feat)
         for name in params.names():
             assert block_rel_err(analytic[name], numeric[name]) < 1e-6, name
@@ -172,8 +164,7 @@ class TestBackward:
     def test_matches_per_step_reference(self, variant, tokens):
         params = randomize_biases(tiny_params(seed=9, variant=variant), 9)
         trace = forward_sentence(params, tokens, FEAT)
-        _, targets = sentence_inputs_targets(tokens)
-        grads, loss = backward_sentence(params, trace, targets, FEAT)
+        grads, loss = backward_sentence(params, trace)
         ref, ref_loss = per_step_backward(params, tokens, FEAT)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for name in params.names():
@@ -184,11 +175,10 @@ class TestBackward:
         params = tiny_params(seed=7)
         tokens = [1, 2, 3]
         trace = forward_sentence(params, tokens, FEAT)
-        _, targets = sentence_inputs_targets(tokens)
-        once, loss1 = backward_sentence(params, trace, targets, FEAT)
+        once, loss1 = backward_sentence(params, trace)
         total = params.zeros_like()
         total.add_scaled(once, 1.0)
-        again, loss2 = backward_sentence(params, trace, targets, FEAT)
+        again, loss2 = backward_sentence(params, trace)
         total.add_scaled(again, 1.0)
         assert loss1 == loss2
         for name in params.names():
@@ -197,7 +187,7 @@ class TestBackward:
     def test_gradients_finite(self):
         params = tiny_params(seed=8)
         trace = forward_sentence(params, [1, 5, 9], FEAT)
-        grads, _ = backward_sentence(params, trace, [5, 9, 1, 1], FEAT)
+        grads, _ = backward_sentence(params, trace)
         for name in params.names():
             assert np.all(np.isfinite(grads[name]))
 
@@ -289,7 +279,7 @@ class TestPackedBatch:
         params = randomize_biases(tiny_params(seed=15, variant=variant), 15)
         tokens = [5, 5, 2, 5, 5]
         trace = forward_sentence(params, tokens, FEAT)
-        grads, loss = backward_sentence(params, trace, tokens + [1], FEAT)
+        grads, loss = backward_sentence(params, trace)
         ref, ref_loss = sentence_backward(params, tokens, FEAT)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for name in params.names():

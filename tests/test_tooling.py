@@ -13,8 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import sentence_backward
-from mrnn.corpus import CaptionedExample, ImageFeatureStore
-from mrnn.model import LN2, ModelConfig, ModelParams
+from mrnn import cli
+from mrnn.corpus import (CaptionedExample, ImageFeatureStore, build_vocabulary,
+                         load_captions, load_features, save_vocab)
+from mrnn.model import LN2, ModelConfig, ModelParams, save_checkpoint
 from mrnn.numerics import Rng
 from mrnn.training import batch_gradient, sentence_gradient
 
@@ -70,3 +72,31 @@ def test_sentence_gradient_is_the_one_sentence_batch_gradient():
     for name in params.names():
         assert_allclose(grads[name], batch[name] * (n_pred * LN2), rtol=1e-12, atol=1e-15)
         assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_shortlist_counter_is_the_kept_fraction(tracer, tmp_path, capsys, size):
+    # every image has two captions, so an i2t shortlist of K of the Q images
+    # keeps the scores of K * 2 of the Q * 2 captions in each query row
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--images", "8", "--topics", "2",
+                     "--captions-per-image", "2", "--seed", "6"]) == 0
+    pairs = load_captions(data / "captions.tsv")
+    store = load_features(data / "features.mrnf")
+    vocab = build_vocabulary([text for _, text in pairs], min_count=1)
+    save_vocab(vocab, tmp_path / "vocab.txt")
+    cfg = ModelConfig(vocab_size=vocab.size, d_i=store.feature_dim,
+                      d_e1=4, d_e2=4, d_r=5, d_m=6)
+    save_checkpoint(ModelParams.initialize(cfg, Rng(2)), tmp_path / "checkpoint.mrnm")
+    argv = ["eval", "retrieval", "--direction", "i2t", "--shortlist", str(size),
+            "--checkpoint", str(tmp_path / "checkpoint.mrnm"),
+            "--vocab", str(tmp_path / "vocab.txt"),
+            "--captions", str(data / "captions.tsv"),
+            "--features", str(data / "features.mrnf"), "--norm-images", "4"]
+    with tracer.Tracer() as t:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    m = t.layer_metrics()
+    assert m["evaluation.shortlist.calls"] == 1
+    assert m["evaluation.retrieval_eval.calls"] == 1
+    assert m["cli.shortlist.kept_frac"] == size / len(store)

@@ -295,14 +295,14 @@ class TestGradientCheck:
         tokens = [3, 4, 5]
         feat = np.array([0.3, -0.2])
         trace = forward_sentence(params, tokens, feat)
-        analytic, _ = backward_sentence(params, trace, tokens + [1], feat)
+        analytic, _ = backward_sentence(params, trace)
         numeric = numeric_sentence_gradient(params, tokens, feat)
         for name in params.names():
             assert block_rel_err(analytic[name], numeric[name]) < 1e-6, name
 
     def test_corrupted_gradient_fails(self):
-        def corrupt(params, trace, targets, feat):
-            grads, loss = backward_sentence(params, trace, targets, feat)
+        def corrupt(params, trace):
+            grads, loss = backward_sentence(params, trace)
             grads.arrays["U_r"] += 0.01
             return grads, loss
 
