@@ -309,8 +309,13 @@ def _retrieval_scores(args, params, subset, store, dataset):
     norm_feats = _norm_feature_set(dataset, store, args.norm_images, args.seed)
     scores = normalized_log2prob_matrix(params, tokens, feats, norm_feats).T
     if getattr(args, "shortlist", None):
+        near = shortlist(feats, feats, size=args.shortlist)
+        # each image is at distance 0 from itself, so it drops out only when
+        # K lower rows tie with it: then it takes the K-th row's place
+        lost = ~(near == np.arange(len(near))[:, None]).any(axis=1)
+        near[lost, -1] = np.nonzero(lost)[0]
         keep = np.zeros((len(image_ids), len(image_ids)), dtype=bool)
-        np.put_along_axis(keep, shortlist(feats, feats, size=args.shortlist), True, axis=1)
+        np.put_along_axis(keep, near, True, axis=1)
         scores[~keep[:, own]] = -np.inf
     return scores, relevant.T
 
@@ -479,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", choices=["mrnn", "baseline"], default="mrnn")
+    p.add_argument("--variant", choices=VARIANTS, default="mrnn")
     p.add_argument("--threshold", type=float, default=1e-4)
     p.add_argument("--corrupt", default=None, metavar="BLOCK",
                    help="add a constant to the named gradient block (negative control)")

@@ -1,13 +1,10 @@
 """The multimodal RNN: forward pass, full BPTT backward pass, checkpoints.
 
-Two variants share one parameter/trace abstraction:
-
-* ``mrnn``: word index -> embedding lookup -> second embedding (ReLU) ->
-  ReLU recurrent layer -> multimodal fusion of word, recurrent and image
-  features through a scaled tanh -> softmax over the vocabulary.
-* ``baseline``: the classic Elman network.  The one-hot input word and the
-  previous recurrent state are concatenated, passed through a sigmoid
-  recurrent layer, then a softmax.  No image input.
+One network: word index -> embedding lookup -> second embedding (ReLU) ->
+ReLU recurrent layer -> multimodal fusion of word, recurrent and image
+features through a scaled tanh -> softmax over the vocabulary.  The
+``baseline`` variant is the same network without the image term
+``V_I . I`` (and without ``V_I``), the paper's RNN-Base ablation.
 
 A sentence with L content tokens unrolls into L+1 timesteps: step t consumes
 input token t-1 (the start sign at t=1) and predicts token t, with the end
@@ -30,7 +27,7 @@ import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, Vocabulary, check_length, read_exact
 from .numerics import (Rng, init_matrix, matvec, relu, scaled_tanh,
-                       scaled_tanh_grad_from_output, sigmoid, softmax)
+                       scaled_tanh_grad_from_output, softmax)
 
 LN2 = math.log(2.0)
 
@@ -44,8 +41,8 @@ VARIANTS = ("mrnn", "baseline")
 class ModelConfig:
     """Layer sizes for one model variant.
 
-    ``baseline`` ignores ``d_m`` and ``d_i`` (it has no multimodal layer and
-    never sees the image).
+    ``baseline`` ignores ``d_i``: it never sees the image, and it has every
+    block of ``mrnn`` except the image projection ``V_I``.
     """
     vocab_size: int
     d_i: int
@@ -58,34 +55,28 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        dims = [self.vocab_size, self.d_e1, self.d_e2, self.d_r]
+        dims = [self.vocab_size, self.d_e1, self.d_e2, self.d_r, self.d_m]
         if self.variant == "mrnn":
-            dims += [self.d_m, self.d_i]
+            dims.append(self.d_i)
         if any(d <= 0 for d in dims):
             raise ValueError("all layer dimensions must be positive")
 
     def param_shapes(self) -> dict[str, tuple]:
         """Canonical name -> shape map.  Bias names start with ``b_``."""
         m = self.vocab_size
-        if self.variant == "mrnn":
-            return {
-                "E1": (m, self.d_e1),
-                "E2": (self.d_e2, self.d_e1),
-                "b_e2": (self.d_e2,),
-                "U_r": (self.d_r, self.d_r),
-                "W_in": (self.d_r, self.d_e2),
-                "b_r": (self.d_r,),
-                "V_w": (self.d_m, self.d_e2),
-                "V_r": (self.d_m, self.d_r),
-                "V_I": (self.d_m, self.d_i),
-                "b_m": (self.d_m,),
-                "W_out": (m, self.d_m),
-                "b_out": (m,),
-            }
+        image = {"V_I": (self.d_m, self.d_i)} if self.variant == "mrnn" else {}
         return {
-            "U": (self.d_r, m + self.d_r),
+            "E1": (m, self.d_e1),
+            "E2": (self.d_e2, self.d_e1),
+            "b_e2": (self.d_e2,),
+            "U_r": (self.d_r, self.d_r),
+            "W_in": (self.d_r, self.d_e2),
             "b_r": (self.d_r,),
-            "V": (m, self.d_r),
+            "V_w": (self.d_m, self.d_e2),
+            "V_r": (self.d_m, self.d_r),
+            **image,
+            "b_m": (self.d_m,),
+            "W_out": (m, self.d_m),
             "b_out": (m,),
         }
 
@@ -195,8 +186,7 @@ class ForwardTrace:
     timestep of one sentence; for one sentence the rows are its timesteps in
     order.  ``r`` has P+1 rows: row 0 is the zero initial state and row i+1
     the state after consuming ``inputs[i]``.  ``feats`` holds the B image
-    features.  ``e1``, ``e2``, ``m`` and ``feats`` stay None for the
-    baseline variant.
+    features; it stays None for the baseline variant.
     """
     inputs: np.ndarray
     r: np.ndarray
@@ -239,36 +229,27 @@ def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
     if r_prev.shape != (cfg.d_r,):
         raise ValueError(f"recurrent state has shape {r_prev.shape}, expected ({cfg.d_r},)")
 
-    if cfg.variant == "baseline":
-        # r(t) = sigmoid(U . [onehot(w); r(t-1)]), y = softmax(V . r)
-        u = params["U"]
-        r = sigmoid(u[:, word_index] + matvec(u[:, cfg.vocab_size:], r_prev) + params["b_r"])
-        y = softmax(matvec(params["V"], r) + params["b_out"])
-        return y, r
-
-    feat = _image_feature(params, image_feature)
     e1 = params["E1"][word_index]
     e2 = relu(matvec(params["E2"], e1) + params["b_e2"])
     r = relu(matvec(params["U_r"], r_prev) + matvec(params["W_in"], e2) + params["b_r"])
-    m_pre = (matvec(params["V_w"], e2) + matvec(params["V_r"], r)
-             + matvec(params["V_I"], feat) + params["b_m"])
-    m = scaled_tanh(m_pre)
+    m_pre = matvec(params["V_w"], e2) + matvec(params["V_r"], r)
+    if cfg.variant == "mrnn":
+        m_pre += matvec(params["V_I"], _image_feature(params, image_feature))
+    m = scaled_tanh(m_pre + params["b_m"])
     y = softmax(matvec(params["W_out"], m) + params["b_out"])
     return y, r
 
 
-def sentence_layers(params: ModelParams,
-                    token_lists) -> tuple[ForwardTrace, np.ndarray | None]:
+def sentence_layers(params: ModelParams, token_lists) -> tuple[ForwardTrace, np.ndarray]:
     """The layers below the image over B sentences of content tokens, packed.
 
     The start sign is input-only and the end sign target-only, so L tokens
     unroll into L+1 prediction steps.  Returns a trace with ``inputs``,
     ``targets``, ``r``, ``packing``, ``e1`` and ``e2`` filled, and the
     image-free multimodal pre-activation ``e2 . V_w + r . V_r + b_m``,
-    (P, d_m) (None for the baseline): adding ``V_I . I`` gives it for image
-    I.  Each layer is one matrix product over the P rows; only the carry
-    through the recurrent weight is a loop over the steps, with one row per
-    sentence still running.
+    (P, d_m): adding ``V_I . I`` gives it for image I.  Each layer is one
+    matrix product over the P rows; only the carry through the recurrent
+    weight is a loop over the steps, with one row per sentence still running.
     """
     cfg = params.config
     packing = Packing.of([len(tokens) + 1 for tokens in token_lists])
@@ -277,21 +258,15 @@ def sentence_layers(params: ModelParams,
     bad = inputs[(inputs < 0) | (inputs >= cfg.vocab_size)]
     if bad.size:
         raise IndexError(f"word index {bad[0]} out of range for M={cfg.vocab_size}")
-    if cfg.variant == "baseline":
-        u = params["U"]
-        drive, weight, activation = u[:, inputs].T + params["b_r"], u[:, cfg.vocab_size:], sigmoid
-    else:
-        e1 = params["E1"][inputs]
-        e2 = relu(e1 @ params["E2"].T + params["b_e2"])
-        drive, weight, activation = e2 @ params["W_in"].T + params["b_r"], params["U_r"], relu
+    e1 = params["E1"][inputs]
+    e2 = relu(e1 @ params["E2"].T + params["b_e2"])
+    drive = e2 @ params["W_in"].T + params["b_r"]
     r = np.zeros((len(inputs) + 1, cfg.d_r), dtype=params.dtype)
     offsets = packing.offsets.tolist()
-    state, weight_t = np.zeros((offsets[1], cfg.d_r), dtype=params.dtype), weight.T
+    state, u_t = np.zeros((offsets[1], cfg.d_r), dtype=params.dtype), params["U_r"].T
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        state = activation(state[:hi - lo] @ weight_t + drive[lo:hi])
+        state = relu(state[:hi - lo] @ u_t + drive[lo:hi])
         r[lo + 1:hi + 1] = state
-    if cfg.variant == "baseline":
-        return ForwardTrace(inputs, r, packing, targets), None
     m_base = e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
     return ForwardTrace(inputs, r, packing, targets, e1=e1, e2=e2), m_base
 
@@ -309,16 +284,15 @@ def forward_batch(params: ModelParams, token_lists: list[list[int]],
     baseline).  Every r(0) is the zero vector.
     """
     cfg = params.config
-    trace, m_base = sentence_layers(params, token_lists)
-    if cfg.variant == "baseline":
-        trace.y = softmax(trace.r[1:] @ params["V"].T + params["b_out"])
-        return trace
-    feats = np.asarray(image_features, dtype=params.dtype)
-    if feats.shape != (len(token_lists), cfg.d_i):
-        raise ValueError(f"image features have shape {feats.shape}, "
-                         f"expected ({len(token_lists)}, {cfg.d_i})")
-    trace.feats = feats
-    trace.m = scaled_tanh(m_base + (feats @ params["V_I"].T)[trace.packing.sent])
+    trace, m_pre = sentence_layers(params, token_lists)
+    if cfg.variant == "mrnn":
+        feats = np.asarray(image_features, dtype=params.dtype)
+        if feats.shape != (len(token_lists), cfg.d_i):
+            raise ValueError(f"image features have shape {feats.shape}, "
+                             f"expected ({len(token_lists)}, {cfg.d_i})")
+        trace.feats = feats
+        m_pre = m_pre + (feats @ params["V_I"].T)[trace.packing.sent]
+    trace.m = scaled_tanh(m_pre)
     trace.y = softmax(output_logits(params, trace.m))
     return trace
 
@@ -353,28 +327,17 @@ def backward_batch(params: ModelParams, trace: ForwardTrace,
     dlogit[rows, trace.targets] -= 1.0
     dlogit *= row_weight[:, None]
     r, r_prev = trace.r[1:], trace.r[packing.prev]
-    if cfg.variant == "baseline":
-        weight = params["U"][:, cfg.vocab_size:]
-        dr, act_grad = dlogit @ params["V"], r * (1.0 - r)
-    else:
-        dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(trace.m)
-        weight, dr, act_grad = params["U_r"], dm_pre @ params["V_r"], r > 0
+    dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(trace.m)
+    dr, active = dm_pre @ params["V_r"], r > 0
     # dr becomes dr_pre in place: each step's carry lands on the previous
     # step's rows of the same sentences, which are a prefix of that block
     offsets = packing.offsets.tolist()
     for t in range(len(offsets) - 2, -1, -1):
         lo, hi = offsets[t], offsets[t + 1]
-        dr[lo:hi] *= act_grad[lo:hi]
+        dr[lo:hi] *= active[lo:hi]
         if t:
-            dr[offsets[t - 1]:offsets[t - 1] + hi - lo] += dr[lo:hi] @ weight
+            dr[offsets[t - 1]:offsets[t - 1] + hi - lo] += dr[lo:hi] @ params["U_r"]
     dr_pre = dr
-
-    if cfg.variant == "baseline":
-        g_u = np.zeros_like(params["U"])
-        np.add.at(g_u, (slice(None), trace.inputs), dr_pre.T)
-        g_u[:, cfg.vocab_size:] = dr_pre.T @ r_prev
-        return Gradients(cfg, {"U": g_u, "b_r": dr_pre.sum(axis=0),
-                               "V": dlogit.T @ r, "b_out": dlogit.sum(axis=0)}), loss
 
     de2_pre = (dr_pre @ params["W_in"] + dm_pre @ params["V_w"]) * (trace.e2 > 0)
     g_e1 = np.zeros_like(params["E1"])
@@ -383,7 +346,7 @@ def backward_batch(params: ModelParams, trace: ForwardTrace,
         "E1": g_e1, "E2": de2_pre.T @ trace.e1, "b_e2": de2_pre.sum(axis=0),
         "U_r": dr_pre.T @ r_prev, "W_in": dr_pre.T @ trace.e2, "b_r": dr_pre.sum(axis=0),
         "V_w": dm_pre.T @ trace.e2, "V_r": dm_pre.T @ r,
-        "V_I": dm_pre.T @ trace.feats[packing.sent],
+        **({} if trace.feats is None else {"V_I": dm_pre.T @ trace.feats[packing.sent]}),
         "b_m": dm_pre.sum(axis=0), "W_out": dlogit.T @ trace.m, "b_out": dlogit.sum(axis=0),
     }), loss
 
@@ -403,8 +366,6 @@ def nearest_words(params: ModelParams, vocab: Vocabulary, token: str, k: int) ->
 
     The query itself is excluded; ties break by vocabulary index.
     """
-    if params.config.variant != "mrnn":
-        raise ValueError("the baseline variant has no word embedding table")
     if token not in vocab:
         raise KeyError(f"token {token!r} not in vocabulary")
     idx = vocab.token_to_index[token]

@@ -94,16 +94,6 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0)
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
 def scaled_tanh(v: np.ndarray) -> np.ndarray:
     """1.7159 * tanh(2x/3), the multimodal-layer activation."""
     return SCALED_TANH_GAIN * np.tanh(SCALED_TANH_SLOPE * v)

@@ -13,8 +13,7 @@ import numpy as np
 
 from mrnn.corpus import END_INDEX, FEATURE_MAGIC, FEATURE_VERSION, START_INDEX
 from mrnn.model import LN2, forward_sentence, forward_step
-from mrnn.numerics import (Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, sigmoid,
-                           softmax)
+from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, softmax
 
 
 def oracle_bleu(candidates, references, n_max=3, cumulative=True):
@@ -114,7 +113,8 @@ def per_step_backward(params, tokens, image_feature):
 
     Steps forward through ``forward_step``, recomputing each step's
     embedding and multimodal activations, then accumulates every step's
-    gradient contribution from the last step back to the first.  Returns
+    gradient contribution from the last step back to the first.  The
+    baseline is the same network without the image term.  Returns
     (gradient arrays by name, summed nat-log loss).
     """
     cfg = params.config
@@ -127,31 +127,17 @@ def per_step_backward(params, tokens, image_feature):
         rs.append(r)
     loss = -sum(float(np.log(y[t])) for y, t in zip(ys, targets))
 
-    if cfg.variant == "baseline":
-        u_rec = params["U"][:, cfg.vocab_size:]
-        dr_carry = np.zeros(cfg.d_r)
-        for t in range(len(inputs) - 1, -1, -1):
-            y, r, r_prev = ys[t], rs[t + 1], rs[t]
-            dlogit = y.copy()
-            dlogit[targets[t]] -= 1.0
-            g["V"] += np.outer(dlogit, r)
-            g["b_out"] += dlogit
-            dr = params["V"].T @ dlogit + dr_carry
-            dz = dr * r * (1.0 - r)
-            g["U"][:, inputs[t]] += dz
-            g["U"][:, cfg.vocab_size:] += np.outer(dz, r_prev)
-            g["b_r"] += dz
-            dr_carry = u_rec.T @ dz
-        return g, loss
-
-    feat = np.asarray(image_feature, dtype=np.float64)
+    image = cfg.variant == "mrnn"
+    feat = np.asarray(image_feature, dtype=np.float64) if image else None
     dr_carry = np.zeros(cfg.d_r)
     for t in range(len(inputs) - 1, -1, -1):
         y, r, r_prev = ys[t], rs[t + 1], rs[t]
         e1 = params["E1"][inputs[t]]
         e2 = relu(params["E2"] @ e1 + params["b_e2"])
-        m = scaled_tanh(params["V_w"] @ e2 + params["V_r"] @ r
-                        + params["V_I"] @ feat + params["b_m"])
+        m_pre = params["V_w"] @ e2 + params["V_r"] @ r + params["b_m"]
+        if image:
+            m_pre = m_pre + params["V_I"] @ feat
+        m = scaled_tanh(m_pre)
         dlogit = y.copy()
         dlogit[targets[t]] -= 1.0
         g["W_out"] += np.outer(dlogit, m)
@@ -160,7 +146,8 @@ def per_step_backward(params, tokens, image_feature):
         dm_pre = (params["W_out"].T @ dlogit) * scaled_tanh_grad_from_output(m)
         g["V_w"] += np.outer(dm_pre, e2)
         g["V_r"] += np.outer(dm_pre, r)
-        g["V_I"] += np.outer(dm_pre, feat)
+        if image:
+            g["V_I"] += np.outer(dm_pre, feat)
         g["b_m"] += dm_pre
 
         dr = params["V_r"].T @ dm_pre + dr_carry
@@ -181,28 +168,22 @@ def sentence_forward(params, tokens, image_feature):
     """One sentence's forward pass as (T, d) arrays, the sentence on its own.
 
     Returns a dict with ``inputs``, ``targets``, ``r`` (T+1 rows, row 0 the
-    zero state), ``y`` and, for the mrnn variant, ``e1``, ``e2`` and ``m``.
+    zero state), ``e1``, ``e2``, ``m`` and ``y``.  The baseline skips the
+    image term of ``m``.
     """
     cfg = params.config
     inputs, targets = sentence_inputs_targets(tokens)
-    if cfg.variant == "baseline":
-        u = params["U"]
-        drive, weight, activation = u[:, inputs].T + params["b_r"], u[:, cfg.vocab_size:], sigmoid
-    else:
-        e1 = params["E1"][inputs]
-        e2 = relu(e1 @ params["E2"].T + params["b_e2"])
-        drive, weight, activation = e2 @ params["W_in"].T + params["b_r"], params["U_r"], relu
+    e1 = params["E1"][inputs]
+    e2 = relu(e1 @ params["E2"].T + params["b_e2"])
     r = np.zeros((len(inputs) + 1, cfg.d_r))
-    for t, x in enumerate(drive):
-        r[t + 1] = activation(weight @ r[t] + x)
-    out = {"inputs": np.array(inputs), "targets": np.array(targets), "r": r}
-    if cfg.variant == "baseline":
-        out["y"] = softmax(r[1:] @ params["V"].T + params["b_out"])
-        return out
-    m = scaled_tanh(e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
-                    + params["V_I"] @ np.asarray(image_feature))
-    out.update(e1=e1, e2=e2, m=m, y=softmax(m @ params["W_out"].T + params["b_out"]))
-    return out
+    for t, e2_t in enumerate(e2):
+        r[t + 1] = relu(params["U_r"] @ r[t] + params["W_in"] @ e2_t + params["b_r"])
+    m_pre = e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
+    if cfg.variant == "mrnn":
+        m_pre = m_pre + params["V_I"] @ np.asarray(image_feature)
+    m = scaled_tanh(m_pre)
+    return {"inputs": np.array(inputs), "targets": np.array(targets), "r": r,
+            "e1": e1, "e2": e2, "m": m, "y": softmax(m @ params["W_out"].T + params["b_out"])}
 
 
 def sentence_backward(params, tokens, image_feature):
@@ -215,31 +196,23 @@ def sentence_backward(params, tokens, image_feature):
     dlogit = f["y"].copy()
     dlogit[steps, f["targets"]] -= 1.0
     r, r_prev = f["r"][1:], f["r"][:-1]
-    if cfg.variant == "baseline":
-        weight = params["U"][:, cfg.vocab_size:]
-        dr, act_grad = dlogit @ params["V"], r * (1.0 - r)
-    else:
-        dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(f["m"])
-        weight, dr, act_grad = params["U_r"], dm_pre @ params["V_r"], r > 0
+    dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(f["m"])
+    dr = dm_pre @ params["V_r"]
     dr_pre = np.empty_like(dr)
     carry = np.zeros(cfg.d_r)
     for t in reversed(steps):
-        dr_pre[t] = (dr[t] + carry) * act_grad[t]
-        carry = weight.T @ dr_pre[t]
-    if cfg.variant == "baseline":
-        g_u = np.zeros_like(params["U"])
-        np.add.at(g_u, (slice(None), f["inputs"]), dr_pre.T)
-        g_u[:, cfg.vocab_size:] = dr_pre.T @ r_prev
-        return {"U": g_u, "b_r": dr_pre.sum(axis=0), "V": dlogit.T @ r,
-                "b_out": dlogit.sum(axis=0)}, loss
+        dr_pre[t] = (dr[t] + carry) * (r[t] > 0)
+        carry = params["U_r"].T @ dr_pre[t]
     de2_pre = (dr_pre @ params["W_in"] + dm_pre @ params["V_w"]) * (f["e2"] > 0)
     g_e1 = np.zeros_like(params["E1"])
     np.add.at(g_e1, f["inputs"], de2_pre @ params["E2"])
-    return {"E1": g_e1, "E2": de2_pre.T @ f["e1"], "b_e2": de2_pre.sum(axis=0),
-            "U_r": dr_pre.T @ r_prev, "W_in": dr_pre.T @ f["e2"], "b_r": dr_pre.sum(axis=0),
-            "V_w": dm_pre.T @ f["e2"], "V_r": dm_pre.T @ r,
-            "V_I": np.outer(dm_pre.sum(axis=0), image_feature), "b_m": dm_pre.sum(axis=0),
-            "W_out": dlogit.T @ f["m"], "b_out": dlogit.sum(axis=0)}, loss
+    grads = {"E1": g_e1, "E2": de2_pre.T @ f["e1"], "b_e2": de2_pre.sum(axis=0),
+             "U_r": dr_pre.T @ r_prev, "W_in": dr_pre.T @ f["e2"], "b_r": dr_pre.sum(axis=0),
+             "V_w": dm_pre.T @ f["e2"], "V_r": dm_pre.T @ r, "b_m": dm_pre.sum(axis=0),
+             "W_out": dlogit.T @ f["m"], "b_out": dlogit.sum(axis=0)}
+    if cfg.variant == "mrnn":
+        grads["V_I"] = np.outer(dm_pre.sum(axis=0), image_feature)
+    return grads, loss
 
 
 def mean_sentence_gradient(params, token_lists, image_features):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -15,10 +16,11 @@ from mrnn import cli
 from mrnn.cli import _retrieval_scores, build_parser, resolve_settings
 from mrnn.corpus import (CaptionedExample, DatasetSplit, ImageFeatureStore, SynthSpec,
                          build_vocabulary, generate_synthetic_corpus, load_features,
-                         load_vocab)
+                         load_vocab, save_captions, save_features, save_vocab)
 from mrnn.estimator import MRNNCaptioner
 from mrnn.inference import sentence_log2prob
-from mrnn.model import ModelConfig, ModelParams, save_checkpoint
+from mrnn.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, VARIANTS, ModelConfig,
+                        ModelParams, save_checkpoint)
 from mrnn.numerics import Rng
 from mrnn.training import TrainConfig, train
 
@@ -486,6 +488,23 @@ class TestBaselineVariant:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "mrnn variant" in err
 
+    def test_elman_checkpoint_is_one_error_line(self, baseline_run, tmp_path, capsys):
+        # the arrays U, b_r, V, b_out of the Elman network that the baseline
+        # variant used to be, under a baseline header with the default dims
+        m, d_r, d_i = load_vocab(baseline_run["run"] / "vocab.txt").size, 8, 8
+        blob = CHECKPOINT_MAGIC + struct.pack("<IBB", CHECKPOINT_VERSION, 1, 0)
+        blob += struct.pack("<6I", m, 128, 128, d_r, 512, d_i) + struct.pack("<I", 4)
+        for name, shape in [("U", (d_r, m + d_r)), ("b_r", (d_r,)), ("V", (m, d_r)),
+                            ("b_out", (m,))]:
+            blob += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(shape))
+            blob += struct.pack(f"<{len(shape)}I", *shape) + bytes(8 * math.prod(shape))
+        (tmp_path / "elman.mrnm").write_bytes(blob)
+        args = eval_args(baseline_run, "--subset", "all")
+        args[1] = str(tmp_path / "elman.mrnm")
+        code, out, err = run_main(capsys, "eval", "ppl", *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: parameter names ") and err.count("\n") == 1
+
 
 class TestCountFlags:
     """A count below 1 is refused, not read as "off" or as a slice from the end."""
@@ -685,6 +704,27 @@ class TestRetrievalScores:
         assert np.isfinite(scores).tolist() == own
         assert relevant.tolist() == own
 
+    def test_i2t_shortlist_keeps_the_own_image_of_a_twin(self, tmp_path, capsys):
+        # "a" and "b" have equal features, so "a" fills the one-image
+        # shortlist of "b" on the lower-row tie unless "b" keeps its own place
+        vocab = build_vocabulary(["sand waves", "summit ridge", "pines"], min_count=1)
+        save_vocab(vocab, tmp_path / "vocab.txt")
+        save_captions([("a", "sand waves"), ("b", "summit ridge"), ("c", "pines")],
+                      tmp_path / "captions.tsv")
+        save_features(ImageFeatureStore(["a", "b", "c"], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                      tmp_path / "features.mrnf")
+        cfg = ModelConfig(vocab_size=vocab.size, d_i=2, d_e1=3, d_e2=3, d_r=4, d_m=5)
+        save_checkpoint(ModelParams.initialize(cfg, Rng(0)), tmp_path / "checkpoint.mrnm")
+        code, out, err = run_main(
+            capsys, "eval", "retrieval", "--direction", "i2t", "--shortlist", "1",
+            "--norm-images", "3", "--subset", "all",
+            "--checkpoint", str(tmp_path / "checkpoint.mrnm"),
+            "--vocab", str(tmp_path / "vocab.txt"),
+            "--captions", str(tmp_path / "captions.tsv"),
+            "--features", str(tmp_path / "features.mrnf"))
+        assert (code, err) == (0, "")
+        assert out.startswith("i2t R@1 100.0 ")
+
 
 class TestGradcheckCli:
     def test_passes_by_default(self):
@@ -697,7 +737,12 @@ class TestGradcheckCli:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout and "V_w" in proc.stdout
 
-    @pytest.mark.parametrize("variant,block", [("mrnn", "XYZ"), ("baseline", "E1")])
+    def test_variant_choices_are_the_model_variants(self):
+        gradcheck = build_parser()._subparsers._group_actions[0].choices["gradcheck"]
+        flags = {a.option_strings[-1]: a.choices for a in gradcheck._actions}
+        assert tuple(flags["--variant"]) == VARIANTS
+
+    @pytest.mark.parametrize("variant,block", [("mrnn", "XYZ"), ("baseline", "V_I")])
     def test_unknown_corrupt_block_is_one_error_line(self, capsys, monkeypatch, variant, block):
         def no_work(**kwargs):
             raise AssertionError("gradient_check ran")

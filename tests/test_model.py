@@ -8,7 +8,7 @@ from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradien
                      per_step_backward, randomize_biases, sentence_backward,
                      sentence_forward, sentence_inputs_targets)
 from mrnn.corpus import build_vocabulary
-from mrnn.model import (ModelConfig, ModelParams, Packing, backward_batch,
+from mrnn.model import (VARIANTS, ModelConfig, ModelParams, Packing, backward_batch,
                         backward_sentence, forward_batch, forward_sentence,
                         forward_step, load_checkpoint, nearest_words,
                         output_logits, save_checkpoint, sentence_layers)
@@ -37,7 +37,10 @@ class TestConfig:
             ModelConfig(vocab_size=5, d_i=2, d_r=0)
 
     def test_baseline_ignores_multimodal_dims(self):
-        ModelConfig(vocab_size=5, d_i=0, variant="baseline", d_m=0)
+        # only the image dimension: the baseline has the multimodal layer
+        ModelConfig(vocab_size=5, d_i=0, variant="baseline")
+        with pytest.raises(ValueError):
+            ModelConfig(vocab_size=5, d_i=0, variant="baseline", d_m=0)
 
     def test_shape_congruence_params_vs_gradients(self):
         params = tiny_params()
@@ -266,6 +269,26 @@ class TestPackedBatch:
         for name in params.names():
             assert_allclose(rev[name], grads[name], rtol=0, atol=1e-12, err_msg=name)
 
+    def test_baseline_is_mrnn_with_zero_image_projection(self):
+        # bit for bit: the image term is the only difference between the variants
+        mrnn = randomize_biases(tiny_params(seed=16), 16)
+        mrnn.arrays["V_I"][:] = 0.0
+        baseline = ModelParams(tiny_config("baseline"),
+                               {name: arr for name, arr in mrnn.arrays.items() if name != "V_I"})
+        weights = Rng(17).uniform(0.1, 2.0, len(BATCH))
+        trace = forward_batch(mrnn, BATCH, BATCH_FEATS)
+        base_trace = forward_batch(baseline, BATCH, None)
+        assert base_trace.feats is None
+        assert_array_equal(base_trace.y, trace.y)
+        grads, loss = backward_batch(mrnn, trace, weights)
+        base_grads, base_loss = backward_batch(baseline, base_trace, weights)
+        assert base_loss == loss
+        # in the parameter order, which fixes the rounding of the clipping norm
+        assert list(grads.arrays) == mrnn.names()
+        assert list(base_grads.arrays) == [name for name in mrnn.names() if name != "V_I"]
+        for name in base_grads.names():
+            assert_array_equal(base_grads[name], grads[name], err_msg=name)
+
     def test_feature_shape_mismatch(self):
         with pytest.raises(ValueError, match="image features"):
             forward_batch(tiny_params(), BATCH, BATCH_FEATS[:2])
@@ -307,12 +330,18 @@ class TestNearestWords:
         with pytest.raises(KeyError):
             nearest_words(params, vocab, "zebra", 3)
 
-    def test_baseline_has_no_embeddings(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ranks_by_embedding_distance_in_both_variants(self, variant):
         vocab, _ = self.make()
         params = ModelParams.initialize(
-            ModelConfig(vocab_size=vocab.size, d_i=2, variant="baseline", d_r=4), Rng(0))
-        with pytest.raises(ValueError, match="embedding"):
-            nearest_words(params, vocab, "sand", 1)
+            ModelConfig(vocab_size=vocab.size, d_i=2, variant=variant,
+                        d_e1=4, d_e2=4, d_r=4, d_m=4), Rng(3))
+        e1 = params["E1"]
+        query = vocab.token_to_index["sand"]
+        others = [i for i in range(vocab.size) if i != query]
+        by_distance = sorted(others, key=lambda i: (float(np.linalg.norm(e1[i] - e1[query])), i))
+        assert nearest_words(params, vocab, "sand", 4) == [
+            vocab.index_to_token[i] for i in by_distance[:4]]
 
     def test_excludes_query_and_breaks_ties_by_index(self):
         vocab, params = self.make()
@@ -411,7 +440,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("variant, block", [("mrnn", "W_out"), ("mrnn", "E1"),
-                                                ("baseline", "U")])
+                                                ("baseline", "U_r")])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_is_named_error(self, tmp_path, variant, block, value):
         params = tiny_params(variant=variant)

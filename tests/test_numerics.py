@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mrnn.numerics import (Rng, init_matrix, log_softmax, matvec, relu,
-                           scaled_tanh, sigmoid, softmax)
+                           scaled_tanh, softmax)
 
 
 class TestMatvec:
@@ -56,17 +56,6 @@ class TestActivations:
     def test_scaled_tanh_odd(self):
         v = np.random.default_rng(2).uniform(-5, 5, size=200)
         assert_allclose(scaled_tanh(-v), -scaled_tanh(v), atol=1e-12)
-
-    def test_sigmoid_values(self):
-        assert sigmoid(np.array([0.0]))[0] == 0.5
-        # mpmath oracle for 1/(1+e^-1)
-        assert sigmoid(np.array([1.0]))[0] == pytest.approx(
-            0.73105857863000487925, abs=1e-15)
-
-    def test_sigmoid_limits_no_overflow(self):
-        out = sigmoid(np.array([750.0, -750.0]))
-        assert out[0] == 1.0 and out[1] == 0.0
-        assert np.all((out >= 0) & (out <= 1))
 
 
 class TestSoftmax:

@@ -44,6 +44,9 @@ def test_every_traced_method_is_on_model_params(tracer):
 def test_every_layer_weight_is_a_parameter(tracer):
     names = set(ModelConfig(vocab_size=5, d_i=2).param_shapes())
     assert set(tracer.WEIGHT_LAYERS) <= names
+    # the baseline is the same network without the image projection
+    baseline = set(ModelConfig(vocab_size=5, d_i=2, variant="baseline").param_shapes())
+    assert set(tracer.WEIGHT_LAYERS) - {"V_I"} <= baseline
 
 
 def test_tracer_self_test_bindings_exist():
