@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,13 +134,18 @@ def check_fractions(fractions: list[float]) -> None:
 
 def recall_curve(scores: np.ndarray, relevant: np.ndarray,
                  fractions: list[float]) -> RecallCurve:
-    """Mean number of relevant candidates inside the top ceil(f * C) retrieved."""
+    """Mean number of relevant candidates inside the top ceil(f * C) retrieved.
+
+    The ceiling is exact for the decimal that ``repr(f)`` denotes, so 0.07
+    of 100 candidates is the top 7, although ``0.07 * 100 > 7`` in floats.
+    """
     check_fractions(fractions)
     hits = _ranked_hits(scores, relevant)
     n_q, n_c = hits.shape
     # found[t]: relevant candidates inside the top t, summed over the queries
     found = [0] + np.cumsum(hits.sum(axis=0)).tolist()
-    return RecallCurve([(f, found[math.ceil(f * n_c)] / n_q) for f in fractions])
+    tops = [math.ceil(Fraction(repr(float(f))) * n_c) for f in fractions]
+    return RecallCurve([(f, found[top] / n_q) for f, top in zip(fractions, tops)])
 
 
 def shortlist(queries: np.ndarray, candidates: np.ndarray, size: int = 100) -> np.ndarray:

@@ -8,6 +8,7 @@ array passes.
 
 import math
 import struct
+from decimal import Decimal
 
 import numpy as np
 
@@ -76,6 +77,13 @@ def oracle_first_rank(scores_row, relevant_row):
     if best is None:
         raise ValueError("no relevant candidate")
     return best
+
+
+def oracle_top(fraction, n_candidates):
+    """How many top candidates a recall-curve fraction covers: the ceiling
+    of fraction * C in decimal arithmetic, for the decimal the fraction's
+    repr spells (0.07 * 100 is 7, not the float product's 7.000000000000001)."""
+    return math.ceil(Decimal(repr(fraction)) * n_candidates)
 
 
 def sentence_inputs_targets(tokens):
@@ -184,6 +192,13 @@ def sentence_forward(params, tokens, image_feature):
     m = scaled_tanh(m_pre)
     return {"inputs": np.array(inputs), "targets": np.array(targets), "r": r,
             "e1": e1, "e2": e2, "m": m, "y": softmax(m @ params["W_out"].T + params["b_out"])}
+
+
+def sentence_log2prob_oracle(params, tokens, image_feature):
+    """A sentence's summed log2 probability: log2 of ``sentence_forward``'s
+    ``y`` at the targets."""
+    f = sentence_forward(params, tokens, image_feature)
+    return float(np.log2(f["y"][np.arange(len(f["targets"])), f["targets"]]).sum())
 
 
 def sentence_backward(params, tokens, image_feature):

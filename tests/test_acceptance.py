@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import oracle_bleu, oracle_first_rank
+from helpers import oracle_bleu, oracle_first_rank, oracle_top
 from mrnn.corpus import SynthSpec, generate_synthetic_corpus
 from mrnn.evaluation import bleu, corpus_perplexity, recall_curve, retrieval_eval, shortlist
 from mrnn.inference import (GenerationConfig, generate, log2prob_matrix,
@@ -193,7 +193,7 @@ def test_criterion_6_metric_oracles():
     curve = recall_curve(scores, relevant, fractions)
     curve_ok = True
     for f, mean in curve.points:
-        top = math.ceil(f * 9)
+        top = oracle_top(f, 9)
         total = sum(
             sum(1 for j in sorted(range(9), key=lambda j: (-scores[q, j], j))[:top]
                 if j in gt[q]) for q in range(5))

@@ -737,6 +737,16 @@ class TestGradcheckCli:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout and "V_w" in proc.stdout
 
+    def test_reports_redraws_and_fixed_threshold(self):
+        proc = run_cli("gradcheck", "--samples", "3", "--seed", "1")
+        assert "PASS" in proc.stdout
+        assert "instances (" in proc.stdout and " redrawn), threshold 1e-04" in proc.stdout
+
+    def test_threshold_is_not_a_flag(self):
+        gradcheck = build_parser()._subparsers._group_actions[0].choices["gradcheck"]
+        flags = {a.option_strings[-1] for a in gradcheck._actions}
+        assert flags == {"--help", "--samples", "--seed", "--variant", "--corrupt"}
+
     def test_variant_choices_are_the_model_variants(self):
         gradcheck = build_parser()._subparsers._group_actions[0].choices["gradcheck"]
         flags = {a.option_strings[-1]: a.choices for a in gradcheck._actions}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import oracle_bleu, oracle_first_rank
+from helpers import oracle_bleu, oracle_first_rank, oracle_top
 from mrnn.corpus import ImageFeatureStore, build_vocabulary
 from mrnn.evaluation import (bleu, corpus_perplexity, generation_bleu,
                              recall_curve, retrieval_eval, shortlist)
@@ -270,7 +270,7 @@ class TestRecallCurve:
         fractions = [0.15, 0.3, 0.6, 1.0]
         curve = recall_curve(scores, relevance(n_q, n_c, gt), fractions)
         for f, mean in curve.points:
-            top = math.ceil(f * n_c)
+            top = oracle_top(f, n_c)
             total = 0
             for q in range(n_q):
                 order = sorted(range(n_c), key=lambda j: (-scores[q, j], j))
@@ -284,7 +284,7 @@ class TestRecallCurve:
         curve = recall_curve(scores, relevant, fractions)
         expected = []
         for f in fractions:
-            top = math.ceil(f * n_c)
+            top = oracle_top(f, n_c)
             total = 0
             for q in range(n_q):
                 order = sorted(range(n_c), key=lambda j: (-scores[q, j], j))
@@ -292,6 +292,15 @@ class TestRecallCurve:
             expected.append((f, total / n_q))
         assert curve.points == expected
         assert all(type(mean) is float for _, mean in curve.points)
+
+    @pytest.mark.parametrize("fraction, n_c", [(0.07, 100), (0.14, 50)])
+    def test_cutoff_is_exact_for_the_decimal(self, fraction, n_c):
+        # fraction * n_c is 7.000000000000001 in floats; the top 7 are meant
+        assert fraction * n_c > 7
+        scores = -np.arange(n_c, dtype=float)[None]  # column j is ranked j + 1
+        relevant = np.zeros((1, n_c), dtype=bool)
+        relevant[0, [6, 7]] = True  # ranks 7 and 8
+        assert recall_curve(scores, relevant, [fraction]).points == [(fraction, 1.0)]
 
     def test_monotone_nondecreasing(self):
         rng = Rng(14)

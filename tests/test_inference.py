@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from helpers import randomize_biases
+from helpers import randomize_biases, sentence_log2prob_oracle
 from mrnn import inference
 from mrnn.corpus import build_vocabulary
 from mrnn.evaluation import retrieval_eval
@@ -115,13 +115,13 @@ class TestSentenceLog2Prob:
 
 
 class TestLog2ProbMatrix:
-    """The image-factored engine against the per-step sentence_log2prob."""
+    """The image-factored engine against one-sentence passes (``helpers.sentence_forward``)."""
 
     SENTENCES = [[], [3], [3, 4, 5], VOCAB.encode("summit ridge pines glacier sand"), [3, 4, 5]]
 
     @staticmethod
     def oracle(params, sentences, feats):
-        return np.array([[sentence_log2prob(params, t, f)[0] for f in feats]
+        return np.array([[sentence_log2prob_oracle(params, t, f) for f in feats]
                          for t in sentences])
 
     # chunk elements (the longest sentence has 6 framed steps, the widest
@@ -218,8 +218,8 @@ class TestNormalizedLog2ProbMatrix:
         other = Rng(60).uniform(-1, 1, 3)
         scores = normalized_log2prob_matrix(params, self.CANDS, [FEAT], [other])
         for tokens, score in zip(self.CANDS, scores[:, 0]):
-            lq, _ = sentence_log2prob(params, tokens, FEAT)
-            lo, _ = sentence_log2prob(params, tokens, other)
+            lq = sentence_log2prob_oracle(params, tokens, FEAT)
+            lo = sentence_log2prob_oracle(params, tokens, other)
             assert score == pytest.approx(lq - lo, abs=1e-9)
 
     def test_empty_norm_images_error(self):
@@ -245,5 +245,5 @@ class TestLogSumExp:
         tokens = [3, 4]
         norm = [Rng(63).uniform(-1, 1, 3) for _ in range(4)]
         direct = math.log2(
-            sum(2.0 ** sentence_log2prob(params, tokens, f)[0] for f in norm) / 4)
+            sum(2.0 ** sentence_log2prob_oracle(params, tokens, f) for f in norm) / 4)
         assert marginal_log2prob(params, tokens, norm) == pytest.approx(direct, abs=1e-9)

@@ -5,6 +5,7 @@ methods by name; a refactor that drops or renames one should fail here
 rather than in a traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -21,6 +22,7 @@ from mrnn.numerics import Rng
 from mrnn.training import batch_gradient, sentence_gradient
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "mrnn"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,31 @@ def test_sentence_gradient_is_the_one_sentence_batch_gradient():
     for name in params.names():
         assert_allclose(grads[name], batch[name] * (n_pred * LN2), rtol=1e-12, atol=1e-15)
         assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def callers_in_package():
+    """{called name: names of the package functions that call it}, from the
+    ``ast`` of every module under ``src/mrnn``."""
+    callers = {}
+    for path in PACKAGE_DIR.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    callers.setdefault(name, set()).add(func.name)
+    return callers
+
+
+def test_per_sentence_leftovers_have_no_package_caller():
+    # backward_sentence, sentence_gradient and marginal_log2prob remain only
+    # because perfbench/tracer.py binds them, and forward_sentence only for
+    # sentence_log2prob; once the benchmark traces the packed path they go
+    callers = callers_in_package()
+    for name in ("backward_sentence", "sentence_gradient", "marginal_log2prob"):
+        assert name not in callers, (name, callers.get(name))
+    assert callers["forward_sentence"] == {"sentence_log2prob"}
 
 
 @pytest.mark.parametrize("size", [1, 3])

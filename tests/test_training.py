@@ -4,13 +4,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, mean_sentence_gradient, numeric_sentence_gradient,
                      randomize_biases, sentence_forward)
-from mrnn.corpus import (CaptionedExample, DatasetSplit, ImageFeatureStore,
+from mrnn import training
+from mrnn.corpus import (START_INDEX, CaptionedExample, DatasetSplit, ImageFeatureStore,
                          SynthSpec, generate_synthetic_corpus)
-from mrnn.model import (ModelConfig, ModelParams, backward_sentence,
-                        forward_sentence, save_checkpoint)
+from mrnn.model import (LN2, ModelConfig, ModelParams, backward_batch, backward_sentence,
+                        forward_batch, forward_sentence, save_checkpoint)
 from mrnn.numerics import Rng
-from mrnn.training import (TrainConfig, TrainingDiverged, apply_sgd_step, batch_gradient,
-                           bits_per_word, cost, gradient_check, train)
+from mrnn.training import (KINK_MARGIN, TINY_CONFIG, TrainConfig, TrainingDiverged,
+                           apply_sgd_step, batch_gradient, bits_per_word, cost,
+                           gradient_check, relu_margin, train)
 
 
 def uniform_dataset(m=8, length=3, n=1, d_i=4):
@@ -301,14 +303,67 @@ class TestGradientCheck:
             assert block_rel_err(analytic[name], numeric[name]) < 1e-6, name
 
     def test_corrupted_gradient_fails(self):
-        def corrupt(params, trace):
-            grads, loss = backward_sentence(params, trace)
+        def corrupt(params, examples, features):
+            grads, term = batch_gradient(params, examples, features)
             grads.arrays["U_r"] += 0.01
-            return grads, loss
+            return grads, term
 
         report = gradient_check(n_samples=1, seed=0, grad_fn=corrupt)
         assert not report.passed
         assert report.worst.block == "U_r"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sentence_weights_in_packed_order_fail(self, seed):
+        # a batch_gradient that gives sentence b the weight of the b-th
+        # longest sentence: the check's batch is one that packing reorders
+        def packed_order(params, examples, features):
+            n_pred = np.array([len(ex.tokens) + 1 for ex in examples])
+            trace = forward_batch(params, [ex.tokens for ex in examples],
+                                  features.matrix([ex.image_id for ex in examples]))
+            weights = 1.0 / (n_pred * LN2 * len(examples))
+            return backward_batch(params, trace, weights[np.argsort(-n_pred, kind="stable")])
+
+        assert not gradient_check(n_samples=2, seed=seed, grad_fn=packed_order).passed
+
+    def test_seed_one_passes(self):
+        # with zero biases, some seeds drew a model whose first recurrent
+        # pre-activation sat on the ReLU kink, and b_r failed
+        assert gradient_check(n_samples=5, seed=1).passed
+
+    @staticmethod
+    def kink_instance():
+        """Zero biases, as ``ModelParams.initialize`` gives, and a START
+        embedding that E2 maps to no positive entry: the first step's e2 is
+        0, so its recurrent pre-activation is exactly 0, the ReLU kink."""
+        params = ModelParams.initialize(ModelConfig(**TINY_CONFIG), Rng(0))
+        params["E2"][:] = -np.abs(params["E2"])
+        params["E1"][START_INDEX] = np.abs(params["E1"][START_INDEX])
+        batch = [CaptionedExample("a", [3, 4], "x")]
+        return params, batch, ImageFeatureStore(["a"], [[0.1, -0.2, 0.3]])
+
+    def test_kink_instance_has_zero_margin(self):
+        params, batch, store = self.kink_instance()
+        trace = forward_batch(params, [[3, 4]], store.matrix(["a"]))
+        assert not trace.e2[0].any()
+        assert relu_margin(params, batch, store) == 0.0 < KINK_MARGIN
+
+    def test_kink_instance_is_redrawn_never_compared(self, monkeypatch):
+        kink = self.kink_instance()
+        draws = iter([kink])
+        draw = training._draw_instance
+        monkeypatch.setattr(training, "_draw_instance",
+                            lambda cfg, rng: next(draws, None) or draw(cfg, rng))
+        compared = []
+
+        def recording(params, examples, features):
+            compared.append((params, relu_margin(params, examples, features)))
+            return batch_gradient(params, examples, features)
+
+        report = gradient_check(n_samples=2, seed=0, grad_fn=recording)
+        assert report.redraws >= 1 and report.passed
+        assert len(compared) == 2
+        assert all(params is not kink[0] and margin >= KINK_MARGIN
+                   for params, margin in compared)
 
     def test_report_tracks_worst_block(self):
         report = gradient_check(n_samples=2, seed=3)
