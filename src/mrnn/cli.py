@@ -229,11 +229,15 @@ def _load_eval_inputs(args):
     return params, vocab, subset, store, dataset
 
 
-def _write_eval_files(args, command: str, settings: dict,
-                      files: dict[str, tuple[str, str]]) -> None:
-    """Write ``{output name: (file name, text)}`` and a manifest into ``--out``."""
+def _write_metrics(args, command: str, metrics: dict, settings: dict, **files) -> None:
+    """Write ``metrics.json``, ``metrics.csv``, any further ``{output name:
+    (file name, text)}`` and a manifest into ``--out``."""
     if not args.out:
         return
+    rows = "".join(f"{key},{metrics[key]!r}\n" for key in sorted(metrics))
+    files = {"metrics_json": ("metrics.json",
+                              json.dumps(metrics, indent=2, sort_keys=True) + "\n"),
+             "metrics_csv": ("metrics.csv", "metric,value\n" + rows), **files}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for file_name, text in files.values():
@@ -244,13 +248,6 @@ def _write_eval_files(args, command: str, settings: dict,
         inputs["split"] = args.split
     write_manifest(out, command, settings, inputs,
                    {name: file_name for name, (file_name, _) in files.items()})
-
-
-def _write_metrics(args, command: str, metrics: dict, settings: dict) -> None:
-    rows = "".join(f"{key},{metrics[key]!r}\n" for key in sorted(metrics))
-    _write_eval_files(args, command, settings, {
-        "metrics_json": ("metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n"),
-        "metrics_csv": ("metrics.csv", "metric,value\n" + rows)})
 
 
 def cmd_eval_ppl(args) -> int:
@@ -302,12 +299,13 @@ def _retrieval_scores(args, params, subset, store, dataset):
     if args.direction == "t2i":
         log2p = log2prob_matrix(params, tokens, feats)
         positions = np.array([len(t) + 1 for t in tokens])
-        # negative perplexity: higher = more relevant
-        return -(2.0 ** (-log2p / positions[:, None])), relevant
+        # -log2 perplexity: higher = more relevant, and finite where the
+        # perplexity itself would overflow
+        return log2p / positions[:, None], relevant
 
     norm_feats = _norm_feature_set(dataset, store, args.norm_images, args.seed)
     scores = normalized_log2prob_matrix(params, tokens, feats, norm_feats).T
-    if getattr(args, "shortlist", None):
+    if args.shortlist:
         near = shortlist(feats, feats, size=args.shortlist)
         # each image is at distance 0 from itself, so it drops out only when
         # K lower rows tie with it: then it takes the K-th row's place
@@ -322,34 +320,24 @@ def _retrieval_scores(args, params, subset, store, dataset):
 def cmd_eval_retrieval(args) -> int:
     if args.direction == "t2i" and args.shortlist is not None:
         raise ValueError("--shortlist restricts the i2t candidates; t2i takes none")
+    fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
+    check_fractions(fractions)
     params, _, subset, store, dataset = _load_eval_inputs(args)
     scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
     metrics = retrieval_eval(scores, relevant, ks=(1, 5, 10))
+    rows = "".join(f"{f!r},{mean!r}\n" for f, mean in
+                   recall_curve(scores, relevant, fractions).points)
     print(f"{args.direction} R@1 {metrics.r_at[1]:.1f} R@5 {metrics.r_at[5]:.1f} "
           f"R@10 {metrics.r_at[10]:.1f} Med_r {metrics.med_r}")
+    print(rows, end="")
     _write_metrics(args, "eval-retrieval",
                    {"direction": args.direction, "r_at_1": metrics.r_at[1],
                     "r_at_5": metrics.r_at[5], "r_at_10": metrics.r_at[10],
                     "med_r": metrics.med_r},
                    {"subset": args.subset, "direction": args.direction,
                     "shortlist": args.shortlist, "norm_images": args.norm_images,
-                    "seed": args.seed})
-    return 0
-
-
-def cmd_eval_curve(args) -> int:
-    fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
-    check_fractions(fractions)
-    params, _, subset, store, dataset = _load_eval_inputs(args)
-    scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
-    curve = recall_curve(scores, relevant, fractions)
-    rows = "".join(f"{f!r},{mean!r}\n" for f, mean in curve.points)
-    print(rows, end="")
-    _write_eval_files(args, "eval-curve",
-                      {"subset": args.subset, "direction": args.direction,
-                       "fractions": fractions, "norm_images": args.norm_images,
-                       "seed": args.seed},
-                      {"curve": ("curve.csv", "fraction,mean_matches\n" + rows)})
+                    "seed": args.seed, "fractions": fractions},
+                   curve=("curve.csv", "fraction,mean_matches\n" + rows))
     return 0
 
 
@@ -398,13 +386,6 @@ def _add_eval_common(sub):
     sub.add_argument("--subset", default="test",
                      choices=["train", "val", "test", "all"])
     sub.add_argument("--out", default=None, help="directory for metric files")
-
-
-def _add_retrieval_common(sub):
-    sub.add_argument("--direction", required=True, choices=["i2t", "t2i"])
-    sub.add_argument("--norm-images", type=int, default=100,
-                     help="images sampled for the i2t sentence-probability marginal")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,18 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--max-len", type=int, default=GenerationConfig.max_length)
     e.set_defaults(func=cmd_eval_bleu)
 
-    e = evals.add_parser("retrieval", help="R@K and median rank")
+    e = evals.add_parser("retrieval", help="R@K, median rank and recall curve")
     _add_eval_common(e)
-    _add_retrieval_common(e)
+    e.add_argument("--direction", required=True, choices=["i2t", "t2i"])
+    e.add_argument("--norm-images", type=int, default=100,
+                   help="images sampled for the i2t sentence-probability marginal")
+    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--shortlist", type=int, default=None,
                    help="restrict i2t candidates to captions of the K nearest images")
+    e.add_argument("--fractions", default="0.01,0.02,0.05,0.1,0.2,0.5,1.0",
+                   help="recall-curve fractions of the candidates (curve.csv)")
     e.set_defaults(func=cmd_eval_retrieval)
-
-    e = evals.add_parser("curve", help="recall curve (fraction,mean_matches CSV)")
-    _add_eval_common(e)
-    _add_retrieval_common(e)
-    e.add_argument("--fractions", default="0.01,0.02,0.05,0.1,0.2,0.5,1.0")
-    e.set_defaults(func=cmd_eval_curve)
 
     p = commands.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--samples", type=int, default=20)

@@ -1,4 +1,4 @@
-"""BLEU, corpus perplexity, R@K / median rank, recall curves, shortlists."""
+"""BLEU, corpus perplexity (from training), R@K / median rank, recall curves, shortlists."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 from .corpus import CaptionedExample, ImageFeatureStore, Vocabulary
 from .inference import GenerationConfig, generate
 from .model import ModelParams
-from .training import bits_per_word
+from .training import corpus_perplexity  # noqa: F401 (re-exported)
 
 
 @dataclass
@@ -70,12 +70,6 @@ def bleu(candidates: list[list], references: list[list[list]],
         else:
             scores.append(bp * math.exp(sum(math.log(p) for p in ps) / len(ps)))
     return BleuScore(*scores)
-
-
-def corpus_perplexity(params: ModelParams, examples: list[CaptionedExample],
-                      features: ImageFeatureStore | None) -> float:
-    """Word-weighted perplexity: 2 ** (total -log2 prob / total positions)."""
-    return 2.0 ** bits_per_word(params, examples, features)
 
 
 # ---------------------------------------------------------------------------

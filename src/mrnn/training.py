@@ -130,6 +130,12 @@ def bits_per_word(params: ModelParams, examples: list[CaptionedExample],
     return nll_bits / n_words
 
 
+def corpus_perplexity(params: ModelParams, examples: list[CaptionedExample],
+                      features: ImageFeatureStore | None) -> float:
+    """Word-weighted perplexity: 2 ** (total -log2 prob / total positions)."""
+    return 2.0 ** bits_per_word(params, examples, features)
+
+
 def cost(params: ModelParams, examples: list[CaptionedExample],
          features: ImageFeatureStore | None, lambda_reg: float) -> float:
     """Average per-word negative log2 likelihood plus lambda * ||weights||^2."""
@@ -198,8 +204,6 @@ def train(config: TrainConfig, split: DatasetSplit,
     are reshuffled every epoch with the seeded generator.  A non-finite
     gradient norm raises ``TrainingDiverged`` naming the epoch and the batch.
     """
-    from .evaluation import corpus_perplexity
-
     examples = split.train
     if not examples:
         raise ValueError("training split is empty")

@@ -11,16 +11,17 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import corrupt_checkpoint, randomize_biases, with_mrnf_dim, write_mrnf
+from helpers import (corrupt_checkpoint, oracle_first_rank, oracle_top, randomize_biases,
+                     sentence_log2prob_oracle, with_mrnf_dim, write_mrnf)
 from mrnn import cli
 from mrnn.cli import _retrieval_scores, build_parser, resolve_settings
-from mrnn.corpus import (CaptionedExample, DatasetSplit, ImageFeatureStore, SynthSpec,
-                         build_vocabulary, generate_synthetic_corpus, load_features,
+from mrnn.corpus import (UNK_INDEX, CaptionedExample, DatasetSplit, ImageFeatureStore,
+                         SynthSpec, build_vocabulary, generate_synthetic_corpus, load_features,
                          load_vocab, save_captions, save_features, save_vocab)
 from mrnn.estimator import MRNNCaptioner
-from mrnn.inference import sentence_log2prob
+from mrnn.inference import log2prob_matrix, sentence_log2prob
 from mrnn.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, VARIANTS, ModelConfig,
-                        ModelParams, save_checkpoint)
+                        ModelParams, load_checkpoint, save_checkpoint)
 from mrnn.numerics import Rng
 from mrnn.training import TrainConfig, train
 
@@ -355,13 +356,99 @@ class TestEval:
         assert "R@1" in proc.stdout
 
     def test_curve_monotone_and_csv(self, workspace, tmp_path):
-        run_cli("eval", "curve", "--direction", "t2i", *eval_args(workspace),
+        run_cli("eval", "retrieval", "--direction", "t2i", *eval_args(workspace),
                 "--subset", "train", "--fractions", "0.25,0.5,1.0",
                 "--out", str(tmp_path))
         lines = (tmp_path / "curve.csv").read_text().splitlines()
         assert lines[0] == "fraction,mean_matches"
         means = [float(line.split(",")[1]) for line in lines[1:]]
-        assert means == sorted(means)
+        assert len(means) == 3 and means == sorted(means)
+        assert (tmp_path / "metrics.json").exists()
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert outputs == {"curve": "curve.csv", "metrics_csv": "metrics.csv",
+                           "metrics_json": "metrics.json"}
+
+    @pytest.mark.parametrize("direction, engine", [("t2i", "log2prob_matrix"),
+                                                   ("i2t", "normalized_log2prob_matrix")])
+    def test_metrics_and_curve_from_one_scoring_pass(self, workspace, tmp_path, capsys,
+                                                     monkeypatch, direction, engine):
+        calls = []
+        score = getattr(cli, engine)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return score(*args, **kwargs)
+        monkeypatch.setattr(cli, engine, counted)
+        code, out, _ = run_main(capsys, "eval", "retrieval", "--direction", direction,
+                                *eval_args(workspace), "--subset", "train",
+                                "--norm-images", "4", "--out", str(tmp_path))
+        assert code == 0 and len(calls) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curve.csv", "manifest.json", "metrics.csv", "metrics.json"]
+        # the R@K line, then one curve row per default fraction
+        assert out.startswith(f"{direction} R@1 ") and len(out.splitlines()) == 1 + 7
+
+    @pytest.mark.parametrize("direction, extra", [("t2i", []), ("i2t", []),
+                                                  ("i2t", ["--shortlist", "3"])],
+                             ids=["t2i", "i2t", "i2t-shortlist"])
+    def test_curve_matches_brute_force_on_the_ranked_scores(self, workspace, tmp_path,
+                                                            capsys, direction, extra):
+        fractions = [0.07, 0.1, 0.25, 0.5, 1.0]
+        argv = ["eval", "retrieval", "--direction", direction, *eval_args(workspace),
+                "--subset", "train", "--norm-images", "4", *extra,
+                "--fractions", ",".join(map(repr, fractions)), "--out", str(tmp_path)]
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        # the score matrix R@K ranks, masked by the shortlist where one is given
+        args = build_parser().parse_args(argv)
+        params, _, subset, store, dataset = cli._load_eval_inputs(args)
+        scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
+        assert np.isfinite(scores).all() == (not extra)
+        n_q, n_c = scores.shape
+        # rank[q][i]: 1 + the candidates scored higher, or equal at a lower column
+        rank = [[1 + sum(scores[q, j] > scores[q, i]
+                         or (scores[q, j] == scores[q, i] and j < i) for j in range(n_c))
+                 for i in range(n_c)] for q in range(n_q)]
+        rows = []
+        for f in fractions:
+            top = oracle_top(f, n_c)
+            found = sum(1 for q in range(n_q) for i in range(n_c)
+                        if relevant[q, i] and rank[q][i] <= top)
+            rows.append(f"{f!r},{found / n_q!r}")
+        assert (tmp_path / "curve.csv").read_text().splitlines() == [
+            "fraction,mean_matches", *rows]
+        assert out.splitlines()[1:] == rows
+
+    def test_eval_curve_is_gone(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["eval", "curve", "--direction", "t2i", *eval_args(workspace)])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'curve'" in capsys.readouterr().err
+
+    def test_t2i_ranks_by_log2p_past_perplexity_overflow(self, workspace, tmp_path):
+        # a 3000-nat unknown-word bias puts every perplexity past 2 ** 1024,
+        # where -perplexity is -inf for every pair and ranks tie by column
+        params = load_checkpoint(workspace["run"] / "checkpoint.mrnm")
+        params["b_out"][UNK_INDEX] += 3000.0
+        save_checkpoint(params, tmp_path / "loud.mrnm")
+        args = eval_args(workspace, "--subset", "train")
+        args[1] = str(tmp_path / "loud.mrnm")
+        proc = run_cli("eval", "retrieval", "--direction", "t2i", *args,
+                       "--out", str(tmp_path / "out"))
+        assert proc.stderr == ""
+        _, _, subset, store, _ = cli._load_eval_inputs(
+            build_parser().parse_args(["eval", "retrieval", "--direction", "t2i", *args]))
+        image_ids = sorted({ex.image_id for ex in subset})
+        tokens = [ex.tokens for ex in subset]
+        log2p = log2prob_matrix(params, tokens, store.matrix(image_ids))
+        positions = np.array([len(t) + 1 for t in tokens])
+        assert (log2p / positions[:, None] < -1024).all()
+        ranks = [oracle_first_rank(row, [ex.image_id == i for i in image_ids])
+                 for row, ex in zip(log2p, subset)]
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics == {"direction": "t2i", "med_r": sorted(ranks)[(len(ranks) - 1) // 2],
+                           **{f"r_at_{k}": 100.0 * sum(r <= k for r in ranks) / len(ranks)
+                              for k in (1, 5, 10)}}
 
     @pytest.mark.parametrize("direction", ["t2i", "i2t"])
     @pytest.mark.parametrize("fractions", ["", "0"], ids=["empty", "zero"])
@@ -371,7 +458,7 @@ class TestEval:
             raise AssertionError("pairs were scored")
         monkeypatch.setattr(cli, "log2prob_matrix", no_scoring)
         monkeypatch.setattr(cli, "normalized_log2prob_matrix", no_scoring)
-        code, out, err = run_main(capsys, "eval", "curve", "--direction", direction,
+        code, out, err = run_main(capsys, "eval", "retrieval", "--direction", direction,
                                   *eval_args(workspace), "--subset", "train",
                                   "--fractions", fractions)
         assert (code, out) == (1, "")
@@ -394,10 +481,12 @@ class TestEval:
         assert code == 1 and err.count("\n") == 1 and "--shortlist" in err
 
     def test_curve_i2t_direction(self, workspace):
-        proc = run_cli("eval", "curve", "--direction", "i2t",
+        proc = run_cli("eval", "retrieval", "--direction", "i2t",
                        *eval_args(workspace), "--subset", "train",
                        "--norm-images", "4", "--fractions", "0.5,1.0")
-        rows = [line.split(",") for line in proc.stdout.strip().splitlines()]
+        summary, *lines = proc.stdout.strip().splitlines()
+        assert summary.startswith("i2t R@1 ")
+        rows = [line.split(",") for line in lines]
         assert len(rows) == 2
         assert float(rows[1][0]) == 1.0
 
@@ -478,7 +567,7 @@ class TestBaselineVariant:
         captions = [line.split("\t", 1)[1] for line in out.splitlines()]
         assert code == 0 and len(captions) == 2 and captions[0] == captions[1]
 
-    @pytest.mark.parametrize("command", ["retrieval", "curve"])
+    @pytest.mark.parametrize("command", ["retrieval"])
     @pytest.mark.parametrize("direction", ["t2i", "i2t"])
     def test_retrieval_is_one_error_line(self, baseline_run, capsys, command, direction):
         code, out, err = run_main(capsys, "eval", command,
@@ -513,7 +602,7 @@ class TestCountFlags:
         ("eval retrieval", "--shortlist", "0"),
         ("eval retrieval", "--shortlist", "-3"),
         ("eval retrieval", "--norm-images", "-1"),
-        ("eval curve", "--norm-images", "0"),
+        ("eval retrieval", "--norm-images", "0"),
         ("nearest", "-k", "-1"),
         ("nearest", "-k", "0"),
         ("gradcheck", "--samples", "0"),
@@ -655,8 +744,9 @@ class TestRetrievalScores:
         params, dataset, store = setup
         scores, relevant = self.scores(setup, "t2i")
         image_ids = sorted({ex.image_id for ex in dataset.train})
-        oracle = [[-sentence_log2prob(params, ex.tokens, store.get(i))[1] for i in image_ids]
-                  for ex in dataset.train]
+        # -log2 perplexity: summed log2 probability per predicted position
+        oracle = [[sentence_log2prob_oracle(params, ex.tokens, store.get(i))
+                   / (len(ex.tokens) + 1) for i in image_ids] for ex in dataset.train]
         np.testing.assert_allclose(scores, oracle, rtol=1e-12, atol=0)
         assert relevant.tolist() == [[ex.image_id == i for i in image_ids]
                                      for ex in dataset.train]

@@ -5,9 +5,11 @@ methods by name; a refactor that drops or renames one should fail here
 rather than in a traced benchmark run.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from mrnn.training import batch_gradient, sentence_gradient
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "mrnn"
+README_PATH = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,19 @@ def test_tracer_self_test_bindings_exist():
     import mrnn.numerics
     assert mrnn.inference.forward_sentence is mrnn.model.forward_sentence
     assert mrnn.model.matvec is mrnn.numerics.matvec
+
+
+def test_corpus_perplexity_lives_in_training():
+    import mrnn.evaluation
+    import mrnn.training
+    # evaluation imports training, so training importing evaluation would be a cycle
+    tree = ast.parse((PACKAGE_DIR / "training.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "evaluation"]
+    # the tracer binds evaluation.corpus_perplexity and wraps every binding
+    # of that object, so train()'s validation call in training is traced too
+    assert mrnn.evaluation.corpus_perplexity is mrnn.training.corpus_perplexity
+    assert mrnn.corpus_perplexity is mrnn.training.corpus_perplexity
 
 
 def test_sentence_gradient_is_the_one_sentence_batch_gradient():
@@ -130,3 +146,24 @@ def test_shortlist_counter_is_the_kept_fraction(tracer, tmp_path, capsys, size):
     assert m["evaluation.shortlist.calls"] == 1
     assert m["evaluation.retrieval_eval.calls"] == 1
     assert m["cli.shortlist.kept_frac"] == size / len(store)
+
+
+def parser_commands(parser, prefix=""):
+    """Every runnable command of ``parser``, nested ones as ``"eval ppl"``."""
+    names = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                names += parser_commands(sub, f"{prefix}{name} ") or [prefix + name]
+    return names
+
+
+def test_readme_names_every_subcommand():
+    # the "Subcommands:" sentence lists `cmd` or `cmd a|b|c` for each command
+    sentence = re.search(r"Subcommands:(.*?)\.", README_PATH.read_text(encoding="utf-8"),
+                         re.S).group(1)
+    listed = []
+    for item in re.findall(r"`([^`]+)`", sentence):
+        name, *subs = item.split()
+        listed += [f"{name} {sub}" for sub in subs[0].split("|")] if subs else [name]
+    assert sorted(listed) == sorted(parser_commands(cli.build_parser()))
