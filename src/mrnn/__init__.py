@@ -14,7 +14,7 @@ from .inference import GenerationConfig, generate, sentence_log2prob
 from .model import (ForwardTrace, Gradients, ModelConfig, ModelParams, Packing,
                     backward_batch, backward_sentence, forward_batch,
                     forward_sentence, forward_step, load_checkpoint,
-                    nearest_words, save_checkpoint)
+                    nearest_words, save_checkpoint, target_log2prob)
 from .numerics import Rng, init_matrix, matvec, relu, scaled_tanh, softmax
 from .training import (TrainConfig, TrainReport, TrainingDiverged, cost,
                        gradient_check, train)
@@ -31,5 +31,5 @@ __all__ = [
     "gradient_check", "init_matrix", "load_checkpoint", "load_features",
     "matvec", "nearest_words", "recall_curve", "relu", "retrieval_eval",
     "save_checkpoint", "save_features", "scaled_tanh", "sentence_log2prob",
-    "shortlist", "softmax", "tokenize", "train",
+    "shortlist", "softmax", "target_log2prob", "tokenize", "train",
 ]

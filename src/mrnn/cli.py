@@ -351,9 +351,9 @@ def cmd_gradcheck(args) -> int:
                              f"{args.variant} variant; valid blocks: {', '.join(blocks)}")
 
         def grad_fn(params, examples, features, _block=args.corrupt):
-            grads, term = batch_gradient(params, examples, features)
+            grads = batch_gradient(params, examples, features)
             grads.arrays[_block] += 0.01
-            return grads, term
+            return grads
 
     report = gradient_check(n_samples=args.samples, seed=args.seed,
                             variant=args.variant, grad_fn=grad_fn)

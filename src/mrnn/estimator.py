@@ -18,7 +18,7 @@ from .corpus import (MIN_COUNT, CaptionedExample, DatasetSplit, ImageFeatureStor
 from .evaluation import corpus_perplexity
 from .inference import GenerationConfig, generate
 from .model import ModelConfig
-from .training import TrainConfig, train
+from .training import TrainConfig, bits_per_word, train
 from .validation import as_feature_matrix, check_captions, check_is_fitted
 
 
@@ -85,13 +85,16 @@ class MRNNCaptioner:
         gcfg = GenerationConfig(mode="greedy", max_length=self.max_length)
         return [" ".join(generate(self.params_, self.vocab_, row, gcfg)) for row in X]
 
-    def perplexity(self, X, y) -> float:
+    def _scored(self, X, y):
         check_is_fitted(self, "params_")
         X = as_feature_matrix(X)
-        captions = check_captions(y, len(X))
-        split, store = self._dataset(X, captions, self.vocab_)
-        return corpus_perplexity(self.params_, split.train, store)
+        split, store = self._dataset(X, check_captions(y, len(X)), self.vocab_)
+        return self.params_, split.train, store
+
+    def perplexity(self, X, y) -> float:
+        return corpus_perplexity(*self._scored(X, y))
 
     def score(self, X, y) -> float:
-        """Negative log2 corpus perplexity, so higher is better."""
-        return -float(np.log2(self.perplexity(X, y)))
+        """Negative log2 corpus perplexity (minus the bits per word), so
+        higher is better; it stays finite where the perplexity overflows."""
+        return -bits_per_word(*self._scored(X, y))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, Vocabulary
-from .model import (LN2, ModelParams, forward_sentence, forward_step, output_logits,
-                    sentence_layers)
-from .numerics import Rng, log_softmax, scaled_tanh
+from .model import (ModelParams, forward_sentence, forward_step, sentence_layers,
+                    target_log2prob)
+from .numerics import Rng, scaled_tanh
 
 # Bound on the elements of one pack's (P, max(d_m, V)) activations, and of
 # one image chunk's (images, P, max(d_m, V)), in log2prob_matrix, P being
@@ -108,8 +108,9 @@ def sentence_log2prob(params: ModelParams, tokens: list[int],
     one-image reference that ``log2prob_matrix`` is tested against.
     """
     trace = forward_sentence(params, tokens, image_feature)
-    log2p = trace.log2prob()
-    return log2p, 2.0 ** (-log2p / len(trace))
+    log2p = float(target_log2prob(params, trace.m, trace.targets).sum())
+    bits = -log2p / len(trace)
+    return log2p, 2.0 ** bits if bits < 1024 else math.inf
 
 
 def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
@@ -138,15 +139,14 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
     logs = np.zeros((len(distinct), len(img)))
     for s in range(0, len(distinct), per_pack):
         trace, m_base = sentence_layers(params, distinct[s:s + per_pack])
-        rows = np.arange(len(trace))
         chunk = max(1, CHUNK_ELEMENTS // (len(trace) * width))
         for n in range(0, len(img), chunk):
             m = scaled_tanh(m_base + img[n:n + chunk, None, :])
-            logp = log_softmax(output_logits(params, m))[:, rows, trace.targets]
+            logp = target_log2prob(params, m, trace.targets)
             # packed rows run step by step, so each sentence sums in time order
             np.add.at(logs[s:s + per_pack, n:n + chunk], trace.packing.sent, logp.T)
     row = {tokens: i for i, tokens in enumerate(distinct)}
-    return logs[[row[tuple(tokens)] for tokens in token_lists]] / LN2
+    return logs[[row[tuple(tokens)] for tokens in token_lists]]
 
 
 def normalized_log2prob_matrix(params: ModelParams, token_lists: list[list[int]],

@@ -182,11 +182,12 @@ class Packing:
 class ForwardTrace:
     """The forward activations of B sentences, packed time-major (``Packing``).
 
-    Row i of ``inputs``, ``targets``, ``e1``, ``e2``, ``m`` and ``y`` is one
+    Row i of ``inputs``, ``targets``, ``e1``, ``e2`` and ``m`` is one
     timestep of one sentence; for one sentence the rows are its timesteps in
     order.  ``r`` has P+1 rows: row 0 is the zero initial state and row i+1
     the state after consuming ``inputs[i]``.  ``feats`` holds the B image
-    features; it stays None for the baseline variant.
+    features; it stays None for the baseline variant.  ``target_log2prob``
+    scores ``m``, and ``backward_batch`` takes the softmax of its logits.
     """
     inputs: np.ndarray
     r: np.ndarray
@@ -196,15 +197,9 @@ class ForwardTrace:
     e1: np.ndarray | None = None
     e2: np.ndarray | None = None
     m: np.ndarray | None = None
-    y: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.inputs)
-
-    def log2prob(self) -> float:
-        """Summed log2 probability of the targets; -inf if one has probability 0."""
-        with np.errstate(divide="ignore"):
-            return float(np.log2(self.y[np.arange(len(self)), self.targets]).sum())
 
 
 def _image_feature(params: ModelParams, image_feature) -> np.ndarray:
@@ -276,6 +271,17 @@ def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
     return m @ params["W_out"].T + params["b_out"]
 
 
+def target_log2prob(params: ModelParams, m: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """log2 P(target) at each row of multimodal activations ``m``: the target's
+    logit minus the row's log-sum-exp, over ln 2, finite where softmax underflows.
+    ``m`` is (..., P, d_m) and ``targets`` (P,): leading axes (images) broadcast.
+    """
+    logits = output_logits(params, m)
+    logits -= logits.max(axis=-1, keepdims=True)
+    return (logits[..., np.arange(len(targets)), targets]
+            - np.log(np.exp(logits).sum(axis=-1))) / LN2
+
+
 def forward_batch(params: ModelParams, token_lists: list[list[int]],
                   image_features: np.ndarray | None) -> ForwardTrace:
     """Run the unrolled network over B sentences at once, packed time-major.
@@ -293,7 +299,6 @@ def forward_batch(params: ModelParams, token_lists: list[list[int]],
         trace.feats = feats
         m_pre = m_pre + (feats @ params["V_I"].T)[trace.packing.sent]
     trace.m = scaled_tanh(m_pre)
-    trace.y = softmax(output_logits(params, trace.m))
     return trace
 
 
@@ -305,27 +310,23 @@ def forward_sentence(params: ModelParams, tokens: list[int],
     return forward_batch(params, [tokens], _image_feature(params, image_feature)[None])
 
 
-def backward_batch(params: ModelParams, trace: ForwardTrace,
-                   weights) -> tuple[Gradients, float]:
+def backward_batch(params: ModelParams, trace: ForwardTrace, weights) -> Gradients:
     """Exact gradients of the weighted loss of B sentences, through all time.
 
     Sentence b's loss is its summed negative natural-log probability of the
-    targets, and ``weights[b]`` scales it; returns (gradients, weighted
-    loss).  Gradients flow through the full recurrent chain back to t=1
-    (untruncated BPTT).  Each sentence's output-error rows are scaled by
-    its weight first, so each weight gradient is one matrix product over
-    the P packed rows; only the carry back through the recurrent weight is
-    a loop, over the steps, with one row per sentence still running.
+    targets (``target_log2prob`` scores it), and ``weights[b]`` scales it.
+    The output error is the softmax of the logits less the one-hot targets.
+    Gradients flow through the full recurrent chain back to t=1 (untruncated
+    BPTT).  Each sentence's output-error rows are scaled by its weight first,
+    so each weight gradient is one matrix product over the P packed rows;
+    only the carry back through the recurrent weight is a loop, over the
+    steps, with one row per sentence still running.
     """
     cfg = params.config
     packing = trace.packing
-    rows = np.arange(len(trace))
-    row_weight = np.asarray(weights, dtype=trace.y.dtype)[packing.sent]
-    with np.errstate(divide="ignore"):
-        loss = -LN2 * float(row_weight @ np.log2(trace.y[rows, trace.targets]))
-    dlogit = trace.y.copy()
-    dlogit[rows, trace.targets] -= 1.0
-    dlogit *= row_weight[:, None]
+    dlogit = softmax(output_logits(params, trace.m))
+    dlogit[np.arange(len(trace)), trace.targets] -= 1.0
+    dlogit *= np.asarray(weights, dtype=dlogit.dtype)[packing.sent][:, None]
     r, r_prev = trace.r[1:], trace.r[packing.prev]
     dm_pre = (dlogit @ params["W_out"]) * scaled_tanh_grad_from_output(trace.m)
     dr, active = dm_pre @ params["V_r"], r > 0
@@ -348,16 +349,12 @@ def backward_batch(params: ModelParams, trace: ForwardTrace,
         "V_w": dm_pre.T @ trace.e2, "V_r": dm_pre.T @ r,
         **({} if trace.feats is None else {"V_I": dm_pre.T @ trace.feats[packing.sent]}),
         "b_m": dm_pre.sum(axis=0), "W_out": dlogit.T @ trace.m, "b_out": dlogit.sum(axis=0),
-    }), loss
+    })
 
 
-def backward_sentence(params: ModelParams, trace: ForwardTrace) -> tuple[Gradients, float]:
-    """Exact gradients of one sentence's summed nat-log loss and that loss:
-    ``backward_batch`` of a one-sentence trace, with weight 1.
-
-    The loss is in natural-log units; base-2 conversion happens at
-    reporting boundaries.
-    """
+def backward_sentence(params: ModelParams, trace: ForwardTrace) -> Gradients:
+    """Exact gradients of one sentence's summed nat-log loss:
+    ``backward_batch`` of a one-sentence trace, with weight 1."""
     return backward_batch(params, trace, [1.0])
 
 

@@ -111,12 +111,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Log-probabilities along ``axis``, max-subtracted for overflow safety."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def init_matrix(rows: int, cols: int, rng: Rng, dtype=np.float64) -> np.ndarray:
     """Fresh (rows, cols) weight matrix, i.i.d. uniform on [-a, a] with
     a = sqrt(6 / (rows + cols)), the variance-preserving choice."""

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import DatasetSplit, CaptionedExample, ImageFeatureStore
-from .model import LN2, Gradients, ModelConfig, ModelParams, backward_batch, forward_batch
+from .model import (LN2, Gradients, ModelConfig, ModelParams, backward_batch, forward_batch,
+                    target_log2prob)
 from .numerics import Rng
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -27,9 +28,13 @@ _DTYPES = {"float64": np.float64, "float32": np.float32}
 # the peak memory of a V~1000 training run from 70 to 98 MB.
 _SCORE_PACK = 16
 
+# An epoch whose data term (bits per word) passes this many times the
+# uniform model's log2(V) diverged: trained epochs stay near or below log2(V).
+DIVERGED_FACTOR = 10
+
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the gradient norm or the training cost stops being finite."""
+    """Raised when the gradient norm or the cost is not finite, or by ``DIVERGED_FACTOR``."""
 
 
 @dataclass
@@ -45,10 +50,9 @@ class TrainConfig:
     precision: str = "float64"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
+        for name in ("learning_rate", "lambda_reg"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0")
         if self.batch_size < 1 or self.epochs < 0 or self.eval_every < 1:
             raise ValueError("batch_size/epochs/eval_every out of range")
         if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
@@ -121,19 +125,18 @@ def bits_per_word(params: ModelParams, examples: list[CaptionedExample],
     end signs), over all of ``examples``, scored in packs of sentences."""
     if not examples:
         raise ValueError("need at least one example")
-    nll_bits = 0.0
-    n_words = 0
+    log2p = 0.0
     for lo in range(0, len(examples), _SCORE_PACK):
         trace = _forward(params, examples[lo:lo + _SCORE_PACK], features)
-        nll_bits -= trace.log2prob()
-        n_words += len(trace)
-    return nll_bits / n_words
+        log2p += float(target_log2prob(params, trace.m, trace.targets).sum())
+    return -log2p / sum(len(ex.tokens) + 1 for ex in examples)
 
 
 def corpus_perplexity(params: ModelParams, examples: list[CaptionedExample],
                       features: ImageFeatureStore | None) -> float:
-    """Word-weighted perplexity: 2 ** (total -log2 prob / total positions)."""
-    return 2.0 ** bits_per_word(params, examples, features)
+    """Word-weighted perplexity, 2 ** ``bits_per_word``; inf from 1024 bits on."""
+    bits = bits_per_word(params, examples, features)
+    return 2.0 ** bits if bits < 1024 else math.inf
 
 
 def cost(params: ModelParams, examples: list[CaptionedExample],
@@ -143,8 +146,8 @@ def cost(params: ModelParams, examples: list[CaptionedExample],
 
 
 def batch_gradient(params: ModelParams, examples: list[CaptionedExample],
-                   features: ImageFeatureStore | None) -> tuple[Gradients, float]:
-    """Gradient of one minibatch's data term, and that term.
+                   features: ImageFeatureStore | None) -> Gradients:
+    """Gradient of one minibatch's data term.
 
     Each sentence's summed nat loss is divided by its predicted positions
     and by ln 2 (bits per word), and the batch takes the mean over its
@@ -160,10 +163,10 @@ def sentence_gradient(params: ModelParams, example: CaptionedExample,
                       features: ImageFeatureStore | None) -> tuple[Gradients, float, int]:
     """(gradient, summed nat loss, predicted positions) for one sentence: the
     one-sentence ``batch_gradient`` scaled back from bits per word."""
-    grads, bits = batch_gradient(params, [example], features)
+    grads = batch_gradient(params, [example], features)
     n_pred = len(example.tokens) + 1
     grads.scale(n_pred * LN2)
-    return grads, bits * n_pred * LN2, n_pred
+    return grads, bits_per_word(params, [example], features) * n_pred * LN2, n_pred
 
 
 def apply_sgd_step(params: ModelParams, data_grad: Gradients, learning_rate: float,
@@ -202,7 +205,8 @@ def train(config: TrainConfig, split: DatasetSplit,
     packed pass per batch (``batch_gradient``).  That mean weights each
     sentence alike, while the reported ``cost`` pools positions.  Examples
     are reshuffled every epoch with the seeded generator.  A non-finite
-    gradient norm raises ``TrainingDiverged`` naming the epoch and the batch.
+    gradient norm raises ``TrainingDiverged`` naming the epoch and the batch, and
+    so does a cost that is not finite or whose data term passes ``limit``.
     """
     examples = split.train
     if not examples:
@@ -211,6 +215,7 @@ def train(config: TrainConfig, split: DatasetSplit,
     params = ModelParams.initialize(config.model, rng, dtype=config.dtype)
     report = TrainReport()
     positions = sum(len(ex.tokens) + 1 for ex in examples)
+    limit = DIVERGED_FACTOR * math.log2(config.model.vocab_size)
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -219,7 +224,7 @@ def train(config: TrainConfig, split: DatasetSplit,
         norms = []
         for start in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[start:start + config.batch_size]]
-            batch_grad, _ = batch_gradient(params, batch, features)
+            batch_grad = batch_gradient(params, batch, features)
             try:
                 norms.append(apply_sgd_step(params, batch_grad, config.learning_rate,
                                             config.lambda_reg, config.clip_norm))
@@ -229,10 +234,12 @@ def train(config: TrainConfig, split: DatasetSplit,
         sgd_seconds = time.perf_counter() - t0
 
         epoch_cost = cost(params, examples, features, config.lambda_reg)
-        if not math.isfinite(epoch_cost):
-            raise TrainingDiverged(
-                f"training cost became non-finite at epoch {epoch}; "
-                "lower the learning rate or enable clipping")
+        # data term > limit iff cost > limit + penalty; no penalty can trip it
+        if not (math.isfinite(epoch_cost) and epoch_cost <= limit + config.lambda_reg
+                * params.weight_sq_norm()):
+            raise TrainingDiverged(f"epoch {epoch}: cost {epoch_cost:.6g} is not finite or its "
+                                   f"data term is over {DIVERGED_FACTOR} log2(V) = {limit:.4g}; "
+                                   "lower the learning rate or enable clipping")
         val_ppl = None
         if split.validation and (epoch % config.eval_every == 0 or epoch == config.epochs):
             val_ppl = corpus_perplexity(params, split.validation, features)
@@ -299,8 +306,7 @@ def _data_term(params: ModelParams, examples: list[CaptionedExample],
     """The mean over ``examples`` of each sentence's bits per predicted
     position, from the forward pass alone."""
     trace = _forward(params, examples, features)
-    with np.errstate(divide="ignore"):
-        bits = -np.log2(trace.y[np.arange(len(trace)), trace.targets])
+    bits = -target_log2prob(params, trace.m, trace.targets)
     per_sentence = np.bincount(trace.packing.sent, weights=bits, minlength=len(examples))
     return float(np.mean(per_sentence / [len(ex.tokens) + 1 for ex in examples]))
 
@@ -332,8 +338,8 @@ def gradient_check(n_samples: int = 20, seed: int = 0, variant: str = "mrnn",
     the relative error is ||analytic - numeric||_2 / (||analytic||_2 +
     ||numeric||_2); the check passes when the worst block over all
     instances stays below ``CHECK_THRESHOLD``.  Runs in float64.
-    ``grad_fn(params, examples, features)`` returns (gradients, data term);
-    tests pass a deliberately wrong one as a negative control.
+    ``grad_fn(params, examples, features)`` returns the gradients; tests
+    pass a deliberately wrong one as a negative control.
     """
     cfg = ModelConfig(variant=variant, **TINY_CONFIG)
     rng = Rng(seed)
@@ -344,7 +350,7 @@ def gradient_check(n_samples: int = 20, seed: int = 0, variant: str = "mrnn",
         while relu_margin(params, batch, features) < KINK_MARGIN:
             report.redraws += 1
             params, batch, features = _draw_instance(cfg, rng)
-        analytic, _ = grad_fn(params, batch, features)
+        analytic = grad_fn(params, batch, features)
 
         for name, arr in params.arrays.items():
             numeric = np.zeros_like(arr)

@@ -13,7 +13,7 @@ from decimal import Decimal
 import numpy as np
 
 from mrnn.corpus import END_INDEX, FEATURE_MAGIC, FEATURE_VERSION, START_INDEX
-from mrnn.model import LN2, forward_sentence, forward_step
+from mrnn.model import LN2, forward_step
 from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, softmax
 
 
@@ -96,9 +96,8 @@ def numeric_sentence_gradient(params, tokens, image_feature, h=1e-5):
     """Central-difference gradient of the summed nat-log sentence loss."""
 
     def loss():
-        trace = forward_sentence(params, tokens, image_feature)
-        _, targets = sentence_inputs_targets(tokens)
-        return -sum(float(np.log(trace.y[t, w])) for t, w in enumerate(targets))
+        f = sentence_forward(params, tokens, image_feature)
+        return -float(np.log(f["y"][np.arange(len(f["targets"])), f["targets"]]).sum())
 
     grads = {}
     for name, arr in params.arrays.items():

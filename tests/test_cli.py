@@ -23,7 +23,7 @@ from mrnn.inference import log2prob_matrix, sentence_log2prob
 from mrnn.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, VARIANTS, ModelConfig,
                         ModelParams, load_checkpoint, save_checkpoint)
 from mrnn.numerics import Rng
-from mrnn.training import TrainConfig, train
+from mrnn.training import TrainConfig, bits_per_word, train
 
 
 def run_cli(*args, check=True):
@@ -248,6 +248,20 @@ class TestTrain:
         assert err.startswith("error: ") and f"duplicate image id {first_id!r}" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, name", [("--learning-rate", "learning_rate"),
+                                            ("--lambda-reg", "lambda_reg")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_is_one_error_line(self, workspace, tmp_path, capsys, flag, name,
+                                               value):
+        # refused before training, not as a non-finite gradient norm later
+        data = workspace["data"]
+        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
+                                "--features", str(data / "features.mrnf"),
+                                "--split", str(data / "split.tsv"),
+                                "--out", str(tmp_path / "o"), "--epochs", "1", flag, value)
+        assert (code, err) == (1, f"error: {name} must be a finite number >= 0\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("clip", ["-1", "0"])
     def test_bad_clip_norm_is_one_error_line(self, workspace, tmp_path, clip):
         data = workspace["data"]
@@ -324,6 +338,21 @@ class TestEval:
         assert metrics["ppl"] > 1.0
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "manifest.json").exists()
+
+    def test_ppl_past_the_float_range_is_inf(self, workspace, tmp_path):
+        # an 800-nat bias on word 5 puts the others past 1024 bits per word
+        params = load_checkpoint(workspace["run"] / "checkpoint.mrnm")
+        params["b_out"][5] = 800.0
+        save_checkpoint(params, tmp_path / "loud.mrnm")
+        args = eval_args(workspace, "--subset", "test")
+        args[1] = str(tmp_path / "loud.mrnm")
+        _, _, subset, store, _ = cli._load_eval_inputs(
+            build_parser().parse_args(["eval", "ppl", *args]))
+        assert 1024.0 <= bits_per_word(params, subset, store) < np.inf
+        proc = run_cli("eval", "ppl", *args, "--out", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ppl inf\n", "")
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics == {"ppl": math.inf}
 
     def test_bleu_prints_three_scores(self, workspace):
         proc = run_cli("eval", "bleu", *eval_args(workspace), "--subset", "test")

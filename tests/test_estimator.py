@@ -39,6 +39,11 @@ class TestFitPredict:
         ppl = est.perplexity(X, y)
         assert 1.0 <= ppl < 2.0  # memorized
         assert est.score(X, y) == pytest.approx(-np.log2(ppl))
+        # an 800-nat bias on one word puts the others past 1024 bits per word,
+        # where the perplexity overflows and the score stays finite
+        est.params_["b_out"][5] = 800.0
+        assert est.perplexity(X, y) == np.inf
+        assert -np.inf < est.score(X, y) < -1024.0
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):

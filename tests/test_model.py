@@ -8,10 +8,10 @@ from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradien
                      per_step_backward, randomize_biases, sentence_backward,
                      sentence_forward, sentence_inputs_targets)
 from mrnn.corpus import build_vocabulary
-from mrnn.model import (VARIANTS, ModelConfig, ModelParams, Packing, backward_batch,
+from mrnn.model import (LN2, VARIANTS, ModelConfig, ModelParams, Packing, backward_batch,
                         backward_sentence, forward_batch, forward_sentence,
                         forward_step, load_checkpoint, nearest_words,
-                        output_logits, save_checkpoint, sentence_layers)
+                        output_logits, save_checkpoint, sentence_layers, target_log2prob)
 from mrnn.numerics import Rng, scaled_tanh, softmax
 
 
@@ -25,6 +25,16 @@ def tiny_params(seed=0, variant="mrnn"):
 
 
 FEAT = Rng(123).uniform(-1, 1, 3)
+
+
+def probs(params, trace):
+    """The next-word distribution at each row of a trace."""
+    return softmax(output_logits(params, trace.m))
+
+
+def log2prob(params, trace):
+    """A trace's summed log2 probability of its targets."""
+    return float(target_log2prob(params, trace.m, trace.targets).sum())
 
 
 class TestConfig:
@@ -54,7 +64,7 @@ class TestForward:
         for variant in ("mrnn", "baseline"):
             params = ModelParams.zeros(tiny_config(variant))
             trace = forward_sentence(params, [3, 4, 5], FEAT)
-            assert_allclose(trace.y, np.full((4, 11), 1 / 11), atol=1e-15)
+            assert_allclose(probs(params, trace), np.full((4, 11), 1 / 11), atol=1e-15)
 
     def test_zero_recurrent_state_kills_recurrent_term(self):
         params_a = tiny_params(seed=1)
@@ -80,14 +90,18 @@ class TestForward:
         assert_array_equal(trace.targets, [1])
 
     def test_trace_probabilities_normalized(self):
-        trace = forward_sentence(tiny_params(seed=2), [1, 9, 2, 4], FEAT)
+        params = tiny_params(seed=2)
+        trace = forward_sentence(params, [1, 9, 2, 4], FEAT)
         assert len(trace) == 5
-        assert np.all(np.abs(trace.y.sum(axis=1) - 1.0) < 1e-6)
+        y = probs(params, trace)
+        assert np.all(np.abs(y.sum(axis=1) - 1.0) < 1e-6)
+        assert_allclose(np.exp2(target_log2prob(params, trace.m, trace.targets)),
+                        y[np.arange(5), trace.targets], rtol=1e-12)
 
     def test_deterministic(self):
         a = forward_sentence(tiny_params(seed=3), [5, 6], FEAT)
         b = forward_sentence(tiny_params(seed=3), [5, 6], FEAT)
-        assert_array_equal(a.y, b.y)
+        assert_array_equal(a.m, b.m)
 
     def test_word_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -103,13 +117,13 @@ class TestForward:
         feat_b = Rng(55).uniform(-2, 2, 3)
         ya = forward_sentence(params, [2, 3], FEAT)
         yb = forward_sentence(params, [2, 3], feat_b)
-        assert_array_equal(ya.y, yb.y)
+        assert_array_equal(ya.m, yb.m)  # the output reads only m
 
     def test_baseline_never_sees_the_image(self):
         params = tiny_params(variant="baseline")
         ya = forward_sentence(params, [2, 3], None)
         yb = forward_sentence(params, [2, 3], FEAT)
-        assert_array_equal(ya.y, yb.y)
+        assert_array_equal(ya.m, yb.m)
 
     @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
     @pytest.mark.parametrize("tokens", [[], [1, 9, 2, 4], [3, 3, 7, 3]],
@@ -123,7 +137,7 @@ class TestForward:
         r = np.zeros(6)
         for t, w in enumerate(inputs):
             y, r = forward_step(params, w, r, FEAT)
-            assert_allclose(trace.y[t], y, rtol=0, atol=1e-13)
+            assert_allclose(probs(params, trace)[t], y, rtol=0, atol=1e-13)
             assert_allclose(trace.r[t + 1], r, rtol=0, atol=1e-13)
 
     def test_batched_layers_match_forward_step(self):
@@ -141,14 +155,54 @@ class TestForward:
             sentence_layers(tiny_params(), [[11]])
 
 
+class TestTargetLog2Prob:
+    def test_matches_log_of_softmax(self):
+        params = randomize_biases(tiny_params(seed=21), 21)
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            m = rng.normal(scale=5.0, size=(6, 8))
+            targets = rng.integers(0, 11, 6)
+            expected = np.log2(softmax(output_logits(params, m))[np.arange(6), targets])
+            assert_allclose(target_log2prob(params, m, targets), expected, rtol=0, atol=1e-12)
+
+    def test_leading_image_axis_matches_each_image_alone(self):
+        # log2prob_matrix scores (images, P, d_m) chunks in one call
+        params = randomize_biases(tiny_params(seed=22), 22)
+        _, m_base = sentence_layers(params, [[1, 9, 2, 4], [3, 3]])
+        images = Rng(23).uniform(-1, 1, 4 * 3).reshape(4, 3)
+        m = scaled_tanh(m_base + (images @ params["V_I"].T)[:, None, :])
+        targets = np.arange(len(m_base)) % 11
+        stacked = target_log2prob(params, m, targets)
+        assert stacked.shape == (4, len(m_base))
+        for n in range(4):
+            assert_allclose(stacked[n], target_log2prob(params, m[n], targets),
+                            rtol=0, atol=1e-12)
+
+    def test_overflow_safe(self):
+        # logits of +-1000: the softmax of the last word underflows to 0
+        params = ModelParams.zeros(ModelConfig(vocab_size=3, d_i=2, d_e1=2, d_e2=2,
+                                               d_r=2, d_m=2))
+        params["b_out"][:] = [1000.0, 1000.0, -1000.0]
+        m, targets = np.zeros((3, 2)), np.arange(3)
+        with np.errstate(divide="ignore"):
+            assert np.log2(softmax(output_logits(params, m))[2, 2]) == -np.inf
+        out = target_log2prob(params, m, targets)
+        assert np.all(np.isfinite(out))
+        assert_allclose(out, [-1.0, -1.0, -2000.0 / LN2 - 1.0], rtol=1e-15, atol=1e-12)
+
+
 class TestBackward:
     def test_zero_params_loss_is_uniform(self):
         tokens = [3, 4, 5, 6]
         for variant in ("mrnn", "baseline"):
             params = ModelParams.zeros(tiny_config(variant))
             trace = forward_sentence(params, tokens, FEAT)
-            _, loss = backward_sentence(params, trace)
-            assert loss == pytest.approx((len(tokens) + 1) * np.log(11), abs=1e-9)
+            assert -log2prob(params, trace) * LN2 == pytest.approx(
+                (len(tokens) + 1) * np.log(11), abs=1e-9)
+            # every row's output error is the uniform distribution less its target
+            expected = (len(tokens) + 1) / 11 - np.bincount(trace.targets, minlength=11)
+            assert_allclose(backward_sentence(params, trace)["b_out"], expected,
+                            rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
     def test_matches_finite_differences(self, variant):
@@ -156,7 +210,7 @@ class TestBackward:
         feat = None if variant == "baseline" else FEAT
         tokens = [2, 7, 4, 9, 1]
         trace = forward_sentence(params, tokens, feat)
-        analytic, _ = backward_sentence(params, trace)
+        analytic = backward_sentence(params, trace)
         numeric = numeric_sentence_gradient(params, tokens, feat)
         for name in params.names():
             assert block_rel_err(analytic[name], numeric[name]) < 1e-6, name
@@ -167,9 +221,9 @@ class TestBackward:
     def test_matches_per_step_reference(self, variant, tokens):
         params = randomize_biases(tiny_params(seed=9, variant=variant), 9)
         trace = forward_sentence(params, tokens, FEAT)
-        grads, loss = backward_sentence(params, trace)
+        grads = backward_sentence(params, trace)
         ref, ref_loss = per_step_backward(params, tokens, FEAT)
-        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert -log2prob(params, trace) * LN2 == pytest.approx(ref_loss, rel=1e-12)
         for name in params.names():
             assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
 
@@ -178,19 +232,18 @@ class TestBackward:
         params = tiny_params(seed=7)
         tokens = [1, 2, 3]
         trace = forward_sentence(params, tokens, FEAT)
-        once, loss1 = backward_sentence(params, trace)
+        once = backward_sentence(params, trace)
         total = params.zeros_like()
         total.add_scaled(once, 1.0)
-        again, loss2 = backward_sentence(params, trace)
+        again = backward_sentence(params, trace)
         total.add_scaled(again, 1.0)
-        assert loss1 == loss2
         for name in params.names():
             assert_allclose(total[name], 2.0 * once[name], rtol=0, atol=1e-15)
 
     def test_gradients_finite(self):
         params = tiny_params(seed=8)
         trace = forward_sentence(params, [1, 5, 9], FEAT)
-        grads, _ = backward_sentence(params, trace)
+        grads = backward_sentence(params, trace)
         for name in params.names():
             assert np.all(np.isfinite(grads[name]))
 
@@ -240,14 +293,17 @@ class TestPackedBatch:
             assert_array_equal(trace.inputs[rows], ref["inputs"])
             assert_array_equal(trace.targets[rows], ref["targets"])
             assert_allclose(trace.r[rows + 1], ref["r"][1:], rtol=0, atol=1e-13)
-            assert_allclose(trace.y[rows], ref["y"], rtol=0, atol=1e-13)
+            assert_allclose(trace.m[rows], ref["m"], rtol=0, atol=1e-13)
+            assert_allclose(probs(params, trace)[rows], ref["y"], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
     def test_gradient_is_weighted_sum_of_sentence_gradients(self, variant):
         params = randomize_biases(tiny_params(seed=12, variant=variant), 12)
         weights = Rng(13).uniform(0.1, 2.0, len(BATCH))
         trace = forward_batch(params, BATCH, BATCH_FEATS)
-        grads, loss = backward_batch(params, trace, weights)
+        grads = backward_batch(params, trace, weights)
+        loss = -LN2 * float(weights[trace.packing.sent]
+                            @ target_log2prob(params, trace.m, trace.targets))
         ref_loss = 0.0
         ref = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
         for b, tokens in enumerate(BATCH):
@@ -262,10 +318,9 @@ class TestPackedBatch:
     def test_sentence_order_only_permutes_rows(self):
         params = randomize_biases(tiny_params(seed=14), 14)
         weights = np.arange(1.0, len(BATCH) + 1)
-        grads, loss = backward_batch(params, forward_batch(params, BATCH, BATCH_FEATS), weights)
-        rev, rev_loss = backward_batch(
+        grads = backward_batch(params, forward_batch(params, BATCH, BATCH_FEATS), weights)
+        rev = backward_batch(
             params, forward_batch(params, BATCH[::-1], BATCH_FEATS[::-1]), weights[::-1])
-        assert rev_loss == pytest.approx(loss, rel=1e-12)
         for name in params.names():
             assert_allclose(rev[name], grads[name], rtol=0, atol=1e-12, err_msg=name)
 
@@ -279,10 +334,11 @@ class TestPackedBatch:
         trace = forward_batch(mrnn, BATCH, BATCH_FEATS)
         base_trace = forward_batch(baseline, BATCH, None)
         assert base_trace.feats is None
-        assert_array_equal(base_trace.y, trace.y)
-        grads, loss = backward_batch(mrnn, trace, weights)
-        base_grads, base_loss = backward_batch(baseline, base_trace, weights)
-        assert base_loss == loss
+        assert_array_equal(base_trace.m, trace.m)
+        assert_array_equal(target_log2prob(baseline, base_trace.m, base_trace.targets),
+                           target_log2prob(mrnn, trace.m, trace.targets))
+        grads = backward_batch(mrnn, trace, weights)
+        base_grads = backward_batch(baseline, base_trace, weights)
         # in the parameter order, which fixes the rounding of the clipping norm
         assert list(grads.arrays) == mrnn.names()
         assert list(base_grads.arrays) == [name for name in mrnn.names() if name != "V_I"]
@@ -302,9 +358,9 @@ class TestPackedBatch:
         params = randomize_biases(tiny_params(seed=15, variant=variant), 15)
         tokens = [5, 5, 2, 5, 5]
         trace = forward_sentence(params, tokens, FEAT)
-        grads, loss = backward_sentence(params, trace)
+        grads = backward_sentence(params, trace)
         ref, ref_loss = sentence_backward(params, tokens, FEAT)
-        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert -log2prob(params, trace) * LN2 == pytest.approx(ref_loss, rel=1e-12)
         for name in params.names():
             assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
 

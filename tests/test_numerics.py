@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrnn.numerics import (Rng, init_matrix, log_softmax, matvec, relu,
-                           scaled_tanh, softmax)
+from mrnn.numerics import Rng, init_matrix, matvec, relu, scaled_tanh, softmax
 
 
 class TestMatvec:
@@ -94,25 +93,6 @@ class TestSoftmax:
         assert_allclose(softmax(x), expected, rtol=0, atol=1e-15)
         assert_allclose(softmax(x, axis=0), np.array([softmax(col) for col in x.T]).T,
                         rtol=0, atol=1e-15)
-
-
-class TestLogSoftmax:
-    def test_matches_log_of_softmax(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            x = rng.normal(scale=5.0, size=9)
-            assert_allclose(log_softmax(x), np.log(softmax(x)), rtol=0, atol=1e-12)
-
-    def test_axis_normalizes_each_slice(self):
-        x = np.random.default_rng(2).normal(size=(3, 4, 6))
-        for axis in (-1, 0, 1):
-            expected = np.apply_along_axis(lambda v: np.log(softmax(v)), axis, x)
-            assert_allclose(log_softmax(x, axis=axis), expected, rtol=0, atol=1e-12)
-
-    def test_overflow_safe(self):
-        out = log_softmax(np.array([1000.0, 1000.0, -1000.0]))
-        assert np.all(np.isfinite(out[:2]))
-        assert_allclose(out[:2], [np.log(0.5)] * 2, atol=1e-12)
 
 
 class TestInitMatrix:

@@ -21,7 +21,7 @@ from mrnn.corpus import (CaptionedExample, ImageFeatureStore, build_vocabulary,
                          load_captions, load_features, save_vocab)
 from mrnn.model import LN2, ModelConfig, ModelParams, save_checkpoint
 from mrnn.numerics import Rng
-from mrnn.training import batch_gradient, sentence_gradient
+from mrnn.training import batch_gradient, bits_per_word, sentence_gradient
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "mrnn"
@@ -85,14 +85,36 @@ def test_sentence_gradient_is_the_one_sentence_batch_gradient():
     store = ImageFeatureStore(["a"], [[0.5, -0.25]])
     example = CaptionedExample("a", [3, 7, 3], "x")
     grads, loss, n_pred = sentence_gradient(params, example, store)
-    batch, bits = batch_gradient(params, [example], store)
+    batch = batch_gradient(params, [example], store)
     assert n_pred == 4
-    assert loss == pytest.approx(bits * n_pred * LN2, rel=1e-12)
+    assert loss == pytest.approx(bits_per_word(params, [example], store) * n_pred * LN2,
+                                 rel=1e-12)
     ref, ref_loss = sentence_backward(params, example.tokens, store.get("a"))
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     for name in params.names():
         assert_allclose(grads[name], batch[name] * (n_pred * LN2), rtol=1e-12, atol=1e-15)
         assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def numpy_logs(tree):
+    """Where ``np.log`` and ``np.log2`` appear under an ``ast`` node."""
+    return {(node.lineno, node.col_offset) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("log", "log2")
+            and getattr(node.value, "id", None) == "np"}
+
+
+def test_one_log_probability_path():
+    # every score and loss reads target_log2prob's logit - log-sum-exp; a
+    # log taken of the softmax anywhere else underflows to -inf
+    inside = {}
+    for module in ("model", "training", "inference"):
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+        inside[module] = set().union(*[numpy_logs(func) for func in ast.walk(tree)
+                                       if isinstance(func, ast.FunctionDef)
+                                       and func.name == "target_log2prob"])
+        assert numpy_logs(tree) == inside[module], module
+    assert inside["model"] and not inside["training"] and not inside["inference"]
+    assert not hasattr(importlib.import_module("mrnn.numerics"), "log_softmax")
 
 
 def callers_in_package():

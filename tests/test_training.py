@@ -3,12 +3,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, mean_sentence_gradient, numeric_sentence_gradient,
-                     randomize_biases, sentence_forward)
+                     randomize_biases, sentence_forward, sentence_log2prob_oracle)
 from mrnn import training
 from mrnn.corpus import (START_INDEX, CaptionedExample, DatasetSplit, ImageFeatureStore,
                          SynthSpec, generate_synthetic_corpus)
 from mrnn.model import (LN2, ModelConfig, ModelParams, backward_batch, backward_sentence,
                         forward_batch, forward_sentence, save_checkpoint)
+from mrnn.inference import log2prob_matrix
 from mrnn.numerics import Rng
 from mrnn.training import (KINK_MARGIN, TINY_CONFIG, TrainConfig, TrainingDiverged,
                            apply_sgd_step, batch_gradient, bits_per_word, cost,
@@ -52,7 +53,7 @@ class TestPackedPasses:
         examples, store = random_examples(9, seed=1)
         examples.append(CaptionedExample("im0", [], "x"))  # T=1
         params = tiny_params(variant, seed=2)
-        grads, _ = batch_gradient(params, examples, store)
+        grads = batch_gradient(params, examples, store)
         ref = mean_sentence_gradient(params, [ex.tokens for ex in examples],
                                      store.matrix([ex.image_id for ex in examples]))
         for name in params.names():
@@ -74,7 +75,7 @@ class TestPackedPasses:
     def test_float32_batch_gradient_stays_float32(self):
         examples, store = random_examples(5, seed=5)
         params = ModelParams.initialize(tiny_params().config, Rng(6), dtype=np.float32)
-        grads, _ = batch_gradient(params, examples, store)
+        grads = batch_gradient(params, examples, store)
         assert {a.dtype for a in grads.arrays.values()} == {np.dtype(np.float32)}
 
 
@@ -110,6 +111,29 @@ class TestCost:
         cfg, _, store = uniform_dataset()
         with pytest.raises(ValueError):
             cost(ModelParams.zeros(cfg), [], store, 0.0)
+
+    # float32 sums its 274 per-position terms in float32: 1e-6 is ~8 ulps
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_far_off_targets_stay_finite(self, dtype, rel):
+        # b_out[5] = 120 puts the other words ~120 nats below word 5, where a
+        # float32 softmax underflows to 0 and log2 of it read -inf
+        cfg = ModelConfig(vocab_size=9, d_i=2, d_e1=3, d_e2=3, d_r=4, d_m=5)
+        params = ModelParams.initialize(cfg, Rng(1), dtype=dtype)
+        params["b_out"][5] = 120.0
+        examples = [CaptionedExample("a", [3, 7, 3], "x")]
+        examples += [CaptionedExample("a", [5] * 8, "x") for _ in range(30)]
+        store = ImageFeatureStore(["a"], [[0.5, -0.25]])
+        positions = sum(len(ex.tokens) + 1 for ex in examples)
+        # the float64 softmax still resolves these targets
+        ref64 = ModelParams(cfg, {k: v.astype(np.float64) for k, v in params.arrays.items()})
+        oracle = -sum(sentence_log2prob_oracle(ref64, ex.tokens, store.get("a"))
+                      for ex in examples) / positions
+        assert oracle == pytest.approx(21.4687, abs=1e-4)
+        bits = bits_per_word(params, examples, store)
+        assert bits == pytest.approx(oracle, rel=rel)
+        logs = log2prob_matrix(params, [ex.tokens for ex in examples], store.matrix(["a"]))
+        assert np.isfinite(logs).all()
+        assert -logs.sum() / positions == pytest.approx(oracle, rel=rel)
 
 
 class TestSgdStep:
@@ -197,8 +221,18 @@ class TestTrain:
     def test_divergence_detected(self):
         cfg, split, store = uniform_dataset(n=2)
         config = self.small_config(cfg, learning_rate=1e8, clip_norm=None, epochs=10)
-        with pytest.raises(TrainingDiverged):
+        # lr 1e8 leaves every cost finite, but the data term is far past the
+        # limit of 10 x log2(8) bits per word
+        with pytest.raises(TrainingDiverged, match=r"^epoch 1: cost \S+ is not finite or "
+                                                   r"its data term is over 10 log2\(V\) = 30;"):
             train(config, split, store)
+
+    def test_large_penalty_never_trips_the_divergence_rule(self):
+        cfg, split, store = uniform_dataset(n=2)
+        limit = training.DIVERGED_FACTOR * np.log2(cfg.vocab_size)
+        _, report = train(self.small_config(cfg, learning_rate=0.0, lambda_reg=1e6, epochs=1),
+                          split, store)
+        assert report.rows[0].cost > 1e3 * limit
 
     def test_non_finite_gradient_names_epoch_batch_and_block(self):
         # the gradient overflows on the second step, before the epoch's cost
@@ -249,9 +283,13 @@ class TestTrain:
         assert lines[1].split(",")[2] == ""  # no validation split -> blank
 
     def test_lambda_must_be_nonnegative(self):
+        # and both it and the learning rate finite
         cfg, _, _ = uniform_dataset()
-        with pytest.raises(ValueError):
-            TrainConfig(model=cfg, lambda_reg=-1.0)
+        for name, bad in [("lambda_reg", -1.0), ("lambda_reg", np.nan), ("lambda_reg", np.inf),
+                          ("learning_rate", -1.0), ("learning_rate", np.nan),
+                          ("learning_rate", np.inf)]:
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0$"):
+                TrainConfig(model=cfg, **{name: bad})
 
     @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan"), float("inf")])
     def test_clip_norm_must_be_positive_and_finite(self, clip):
@@ -297,16 +335,16 @@ class TestGradientCheck:
         tokens = [3, 4, 5]
         feat = np.array([0.3, -0.2])
         trace = forward_sentence(params, tokens, feat)
-        analytic, _ = backward_sentence(params, trace)
+        analytic = backward_sentence(params, trace)
         numeric = numeric_sentence_gradient(params, tokens, feat)
         for name in params.names():
             assert block_rel_err(analytic[name], numeric[name]) < 1e-6, name
 
     def test_corrupted_gradient_fails(self):
         def corrupt(params, examples, features):
-            grads, term = batch_gradient(params, examples, features)
+            grads = batch_gradient(params, examples, features)
             grads.arrays["U_r"] += 0.01
-            return grads, term
+            return grads
 
         report = gradient_check(n_samples=1, seed=0, grad_fn=corrupt)
         assert not report.passed
