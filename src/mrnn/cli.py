@@ -1,9 +1,9 @@
 """Command-line pipeline: synth, train, generate, eval, gradcheck, nearest.
 
-Every run that writes artifacts also writes a ``manifest.json`` capturing
-the resolved settings, seeds and SHA-256 hashes of the input files, so two
-runs can be compared for drift.  Errors come back as a single
-``error: ...`` line on stderr and a nonzero exit code.
+Every run that writes artifacts writes them through ``write_run``, which
+also writes a ``manifest.json`` capturing the settings, seeds and SHA-256
+hashes of the input files, so two runs can be compared for drift.  Errors
+come back as a single ``error: ...`` line on stderr and a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +49,67 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, settings: dict,
-                   inputs: dict[str, str], outputs: dict[str, str]) -> Path:
+# Flags that name an input file: a manifest records each one given as an
+# input, with its SHA-256, and none of them as a setting.
+FILE_FLAGS = ("captions", "features", "split", "config", "checkpoint", "vocab")
+# Parsed values that are not options: the output directory and the dispatch.
+NOT_SETTINGS = ("out", "command", "eval_command", "func")
+REPORT_COLUMNS = ("epoch", "cost", "val_ppl", "grad_norm_mean", "grad_norm_max", "clip_frac")
+TIMING_COLUMNS = ("epoch", "seconds", "positions_per_s")
+
+
+def _csv(rows) -> str:
+    """One line per row: text as itself, None as '', any other value its repr."""
+    return "".join(",".join("" if v is None else v if isinstance(v, str) else repr(v)
+                            for v in row) + "\n" for row in rows)
+
+
+def write_run(args, outputs: dict, metrics: dict | None = None,
+              settings: dict | None = None) -> None:
+    """Write a command's outputs and its ``manifest.json`` into ``--out``.
+
+    ``outputs`` maps each output's manifest name to ``(file name, content)``:
+    a list of rows (header row first) written as CSV, or a function that
+    writes the file at the path it is given.  ``metrics`` adds
+    ``metrics.json``, strict JSON with ``null`` for a value that is not
+    finite, and ``metrics.csv``.  The manifest's inputs are the file flags
+    given; its settings are ``settings``, by default every other option the
+    command parsed.  Does nothing without ``--out``.
+    """
+    if args.out is None:
+        return
+
+    def dump(obj) -> str:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    if metrics is not None:
+        finite = {name: None if isinstance(value, float) and not math.isfinite(value)
+                  else value for name, value in metrics.items()}
+        outputs = {"metrics_json": ("metrics.json",
+                                    lambda path: path.write_text(dump(finite), encoding="utf-8")),
+                   "metrics_csv": ("metrics.csv", [("metric", "value"),
+                                                   *sorted(metrics.items())]),
+                   **outputs}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for file_name, content in outputs.values():
+        if callable(content):
+            content(out / file_name)
+        else:
+            (out / file_name).write_text(_csv(content), encoding="utf-8")
+    options = vars(args)
     manifest = {
-        "command": command,
-        "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
-                   for name, path in inputs.items()},
-        "outputs": outputs,
-        "settings": settings,
+        "command": "-".join(filter(None, (args.command, options.get("eval_command")))),
+        "inputs": {name: {"path": str(options[name]), "sha256": sha256_file(options[name])}
+                   for name in FILE_FLAGS if options.get(name) is not None},
+        "outputs": {name: file_name for name, (file_name, _) in outputs.items()},
+        "settings": settings if settings is not None else {
+            name: value for name, value in options.items()
+            if name not in FILE_FLAGS + NOT_SETTINGS},
         "tool": "mrnn",
         "version": __version__,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    (out / "manifest.json").write_text(dump(manifest), encoding="utf-8")
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -134,24 +182,13 @@ def cmd_synth(args) -> int:
         for ex in bucket:
             split_map[ex.image_id] = label
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_captions(pairs, out / "captions.tsv")
-    if args.feature_format == "tsv":
-        feature_name = "features.tsv"
-        save_features_tsv(store, out / feature_name)
-    else:
-        feature_name = "features.mrnf"
-        save_features(store, out / feature_name)
-    save_split_map(split_map, out / "split.tsv")
-    settings = {"images": args.images, "topics": args.topics,
-                "captions_per_image": args.captions_per_image,
-                "noise_dim": args.noise_dim, "train_frac": args.train_frac,
-                "val_frac": args.val_frac, "seed": args.seed}
-    write_manifest(out, "synth", settings, {},
-                   {"captions": "captions.tsv", "features": feature_name,
-                    "split": "split.tsv"})
-    print(f"wrote {len(split_map)} images / {len(pairs)} captions to {out}")
+    features = (("features.tsv", partial(save_features_tsv, store))
+                if args.feature_format == "tsv"
+                else ("features.mrnf", partial(save_features, store)))
+    write_run(args, {"captions": ("captions.tsv", partial(save_captions, pairs)),
+                     "features": features,
+                     "split": ("split.tsv", partial(save_split_map, split_map))})
+    print(f"wrote {len(split_map)} images / {len(pairs)} captions to {args.out}")
     return 0
 
 
@@ -169,24 +206,21 @@ def cmd_train(args) -> int:
     params, report = train(TrainConfig.from_settings(settings, vocab.size, store.feature_dim),
                            dataset, store)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, out / "checkpoint.mrnm")
-    save_vocab(vocab, out / "vocab.txt")
-    report.to_csv(out / "train_report.csv")
-    inputs = {"captions": args.captions, "features": args.features, "split": args.split}
-    if args.config:
-        inputs["config"] = args.config
-    # clip_norm is recorded as a string: a float or "none"
-    write_manifest(out, "train", {**settings, "clip_norm": str(settings["clip_norm"]).lower()},
-                   inputs,
-                   {"checkpoint": "checkpoint.mrnm", "vocab": "vocab.txt",
-                    "report": "train_report.csv"})
+    def table(columns):
+        return [columns, *([getattr(row, name) for name in columns] for row in report.rows)]
+
+    # the wall-clock columns go to timing.csv, so every other file of a rerun
+    # is byte-identical; clip_norm is recorded as a string: a float or "none"
+    write_run(args, {"checkpoint": ("checkpoint.mrnm", partial(save_checkpoint, params)),
+                     "vocab": ("vocab.txt", partial(save_vocab, vocab)),
+                     "report": ("train_report.csv", table(REPORT_COLUMNS)),
+                     "timing": ("timing.csv", table(TIMING_COLUMNS))},
+              settings={**settings, "clip_norm": str(settings["clip_norm"]).lower()})
     last = report.rows[-1] if report.rows else None
     if last is not None:
         tail = f" val_ppl={last.val_ppl:.4f}" if last.val_ppl is not None else ""
         print(f"epoch {last.epoch}: cost={last.cost:.6f}{tail}")
-    print(f"checkpoint written to {out / 'checkpoint.mrnm'}")
+    print(f"checkpoint written to {Path(args.out) / 'checkpoint.mrnm'}")
     return 0
 
 
@@ -229,32 +263,11 @@ def _load_eval_inputs(args):
     return params, vocab, subset, store, dataset
 
 
-def _write_metrics(args, command: str, metrics: dict, settings: dict, **files) -> None:
-    """Write ``metrics.json``, ``metrics.csv``, any further ``{output name:
-    (file name, text)}`` and a manifest into ``--out``."""
-    if not args.out:
-        return
-    rows = "".join(f"{key},{metrics[key]!r}\n" for key in sorted(metrics))
-    files = {"metrics_json": ("metrics.json",
-                              json.dumps(metrics, indent=2, sort_keys=True) + "\n"),
-             "metrics_csv": ("metrics.csv", "metric,value\n" + rows), **files}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for file_name, text in files.values():
-        (out / file_name).write_text(text, encoding="utf-8")
-    inputs = {"checkpoint": args.checkpoint, "vocab": args.vocab,
-              "captions": args.captions, "features": args.features}
-    if args.split:
-        inputs["split"] = args.split
-    write_manifest(out, command, settings, inputs,
-                   {name: file_name for name, (file_name, _) in files.items()})
-
-
 def cmd_eval_ppl(args) -> int:
     params, _, subset, store, _ = _load_eval_inputs(args)
     ppl = corpus_perplexity(params, subset, store)
     print(f"ppl {ppl!r}")
-    _write_metrics(args, "eval-ppl", {"ppl": ppl}, {"subset": args.subset})
+    write_run(args, {}, metrics={"ppl": ppl})
     return 0
 
 
@@ -267,10 +280,7 @@ def cmd_eval_bleu(args) -> int:
                                max_length=args.max_len,
                                cumulative=not args.order_only)
     print(f"B-1 {score.b1:.4f} B-2 {score.b2:.4f} B-3 {score.b3:.4f}")
-    _write_metrics(args, "eval-bleu",
-                   {"b1": score.b1, "b2": score.b2, "b3": score.b3},
-                   {"subset": args.subset, "order_only": args.order_only,
-                    "length_matched": not args.no_length_match})
+    write_run(args, {}, metrics={"b1": score.b1, "b2": score.b2, "b3": score.b3})
     return 0
 
 
@@ -325,19 +335,14 @@ def cmd_eval_retrieval(args) -> int:
     params, _, subset, store, dataset = _load_eval_inputs(args)
     scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
     metrics = retrieval_eval(scores, relevant, ks=(1, 5, 10))
-    rows = "".join(f"{f!r},{mean!r}\n" for f, mean in
-                   recall_curve(scores, relevant, fractions).points)
+    points = recall_curve(scores, relevant, fractions).points
     print(f"{args.direction} R@1 {metrics.r_at[1]:.1f} R@5 {metrics.r_at[5]:.1f} "
           f"R@10 {metrics.r_at[10]:.1f} Med_r {metrics.med_r}")
-    print(rows, end="")
-    _write_metrics(args, "eval-retrieval",
-                   {"direction": args.direction, "r_at_1": metrics.r_at[1],
-                    "r_at_5": metrics.r_at[5], "r_at_10": metrics.r_at[10],
-                    "med_r": metrics.med_r},
-                   {"subset": args.subset, "direction": args.direction,
-                    "shortlist": args.shortlist, "norm_images": args.norm_images,
-                    "seed": args.seed, "fractions": fractions},
-                   curve=("curve.csv", "fraction,mean_matches\n" + rows))
+    print(_csv(points), end="")
+    write_run(args, {"curve": ("curve.csv", [("fraction", "mean_matches"), *points])},
+              metrics={"direction": args.direction, "r_at_1": metrics.r_at[1],
+                       "r_at_5": metrics.r_at[5], "r_at_10": metrics.r_at[10],
+                       "med_r": metrics.med_r})
     return 0
 
 

@@ -59,9 +59,9 @@ def _pick(y: np.ndarray, mode: str, rng: Rng | None, ban_end: bool) -> int:
         y = y.copy()
         y[END_INDEX] = 0.0
         total = y.sum()
-        if total == 0.0:  # all mass sat on the end sign: fall back to uniform
+        if total == 0.0:  # all mass sat on the end sign: uniform over the words
             y[:] = 1.0
-            y[END_INDEX] = 0.0
+            y[[START_INDEX, END_INDEX]] = 0.0
             total = y.sum()
         y = y / total
     if mode == "greedy":

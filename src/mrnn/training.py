@@ -81,7 +81,8 @@ class EpochRow:
     the applied steps (after clipping), ``clip_frac`` is the share of steps
     that clipping shortened, and ``positions_per_s`` counts the predicted
     positions trained per second of the SGD steps (the end-of-epoch cost
-    and validation are not in it)."""
+    and validation are not in it).  ``seconds`` and ``positions_per_s`` are
+    the only wall-clock fields; the others repeat exactly on a rerun."""
     epoch: int
     cost: float
     val_ppl: float | None
@@ -95,17 +96,6 @@ class EpochRow:
 @dataclass
 class TrainReport:
     rows: list[EpochRow] = field(default_factory=list)
-    checkpoint_path: str | None = None
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,cost,val_ppl,seconds,grad_norm_mean,grad_norm_max,"
-                     "clip_frac,positions_per_s\n")
-            for row in self.rows:
-                val = "" if row.val_ppl is None else repr(row.val_ppl)
-                fh.write(f"{row.epoch},{row.cost!r},{val},{row.seconds:.3f},"
-                         f"{row.grad_norm_mean!r},{row.grad_norm_max!r},{row.clip_frac!r},"
-                         f"{row.positions_per_s:.1f}\n")
 
 
 def _forward(params: ModelParams, examples: list[CaptionedExample],

@@ -13,7 +13,7 @@ from decimal import Decimal
 import numpy as np
 
 from mrnn.corpus import END_INDEX, FEATURE_MAGIC, FEATURE_VERSION, START_INDEX
-from mrnn.model import LN2, forward_step
+from mrnn.model import LN2
 from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, softmax
 
 
@@ -118,33 +118,34 @@ def numeric_sentence_gradient(params, tokens, image_feature, h=1e-5):
 def per_step_backward(params, tokens, image_feature):
     """BPTT one timestep at a time with outer products: the reference backward.
 
-    Steps forward through ``forward_step``, recomputing each step's
-    embedding and multimodal activations, then accumulates every step's
-    gradient contribution from the last step back to the first.  The
-    baseline is the same network without the image term.  Returns
-    (gradient arrays by name, summed nat-log loss).
+    Steps forward one word at a time, written out as ``sentence_forward``
+    writes the layers, then accumulates every step's gradient contribution
+    from the last step back to the first.  The baseline is the same network
+    without the image term.  Returns (gradient arrays by name, summed nat-log
+    loss).
     """
     cfg = params.config
     inputs, targets = sentence_inputs_targets(tokens)
     g = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
-    rs, ys = [np.zeros(cfg.d_r)], []
-    for w in inputs:
-        y, r = forward_step(params, w, rs[-1], image_feature)
-        ys.append(y)
-        rs.append(r)
-    loss = -sum(float(np.log(y[t])) for y, t in zip(ys, targets))
-
     image = cfg.variant == "mrnn"
     feat = np.asarray(image_feature, dtype=np.float64) if image else None
-    dr_carry = np.zeros(cfg.d_r)
-    for t in range(len(inputs) - 1, -1, -1):
-        y, r, r_prev = ys[t], rs[t + 1], rs[t]
-        e1 = params["E1"][inputs[t]]
-        e2 = relu(params["E2"] @ e1 + params["b_e2"])
+    rs, e2s, ms, ys = [np.zeros(cfg.d_r)], [], [], []
+    for w in inputs:
+        e2 = relu(params["E2"] @ params["E1"][w] + params["b_e2"])
+        r = relu(params["U_r"] @ rs[-1] + params["W_in"] @ e2 + params["b_r"])
         m_pre = params["V_w"] @ e2 + params["V_r"] @ r + params["b_m"]
         if image:
             m_pre = m_pre + params["V_I"] @ feat
         m = scaled_tanh(m_pre)
+        rs.append(r)
+        e2s.append(e2)
+        ms.append(m)
+        ys.append(softmax(params["W_out"] @ m + params["b_out"]))
+    loss = -sum(float(np.log(y[t])) for y, t in zip(ys, targets))
+
+    dr_carry = np.zeros(cfg.d_r)
+    for t in range(len(inputs) - 1, -1, -1):
+        y, r, r_prev, e2, m = ys[t], rs[t + 1], rs[t], e2s[t], ms[t]
         dlogit = y.copy()
         dlogit[targets[t]] -= 1.0
         g["W_out"] += np.outer(dlogit, m)
@@ -165,7 +166,7 @@ def per_step_backward(params, tokens, image_feature):
         dr_carry = params["U_r"].T @ dr_pre
 
         de2_pre = (params["W_in"].T @ dr_pre + params["V_w"].T @ dm_pre) * (e2 > 0)
-        g["E2"] += np.outer(de2_pre, e1)
+        g["E2"] += np.outer(de2_pre, params["E1"][inputs[t]])
         g["b_e2"] += de2_pre
         g["E1"][inputs[t]] += params["E2"].T @ de2_pre
     return g, loss

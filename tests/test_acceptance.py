@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -224,10 +225,13 @@ def test_criterion_7_determinism(tmp_path):
                   "--d-m", "12", "--seed", "6")
     for sub in ("r1", "r2"):
         run_cli("train", *train_args, "--out", str(tmp_path / sub))
-    ckpt_same = ((tmp_path / "r1" / "checkpoint.mrnm").read_bytes()
-                 == (tmp_path / "r2" / "checkpoint.mrnm").read_bytes())
-    manifest_same = ((tmp_path / "r1" / "manifest.json").read_bytes()
-                     == (tmp_path / "r2" / "manifest.json").read_bytes())
+
+    def same(name, a="r1", b="r2"):
+        return (hashlib.sha256((tmp_path / a / name).read_bytes()).digest()
+                == hashlib.sha256((tmp_path / b / name).read_bytes()).digest())
+    ckpt_same = same("checkpoint.mrnm") and same("vocab.txt")
+    # the wall-clock columns are in timing.csv, so the report reruns too
+    manifest_same = same("manifest.json") and same("train_report.csv")
 
     eval_args = ("--checkpoint", str(tmp_path / "r1" / "checkpoint.mrnm"),
                  "--vocab", str(tmp_path / "r1" / "vocab.txt"),
@@ -235,17 +239,18 @@ def test_criterion_7_determinism(tmp_path):
                  "--features", str(data / "features.mrnf"),
                  "--split", str(data / "split.tsv"), "--subset", "train",
                  "--norm-images", "4")
-    metric_blobs = {}
+    metrics_same = eval_manifests_same = True
     for direction in ("i2t", "t2i"):
         for sub in ("e1", "e2"):
-            out = tmp_path / f"{direction}-{sub}"
             run_cli("eval", "retrieval", "--direction", direction, *eval_args,
-                    "--out", str(out))
-            metric_blobs[(direction, sub)] = (out / "metrics.json").read_bytes()
-    metrics_same = all(metric_blobs[(d, "e1")] == metric_blobs[(d, "e2")]
-                       for d in ("i2t", "t2i"))
+                    "--out", str(tmp_path / f"{direction}-{sub}"))
+        pair = (f"{direction}-e1", f"{direction}-e2")
+        metrics_same &= all(same(name, *pair)
+                            for name in ("metrics.json", "metrics.csv", "curve.csv"))
+        eval_manifests_same &= same("manifest.json", *pair)
 
-    ok = ckpt_same and manifest_same and metrics_same
-    report(7, ok, f"re-run checkpoints byte-identical: {ckpt_same}; manifests "
-                  f"identical: {manifest_same}; re-run metric files "
-                  f"identical: {metrics_same}")
+    ok = ckpt_same and manifest_same and metrics_same and eval_manifests_same
+    report(7, ok, f"re-run checkpoints and vocabularies byte-identical: {ckpt_same}; "
+                  f"train manifests and reports identical: {manifest_same}; re-run "
+                  f"metric files identical: {metrics_same}; eval manifests identical: "
+                  f"{eval_manifests_same}")

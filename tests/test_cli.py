@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ def workspace(tmp_path_factory):
             "--d-e1", "12", "--d-e2", "12", "--d-r", "16", "--d-m", "16",
             "--seed", "1")
     return {"data": data, "run": run}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def eval_args(ws, *extra):
@@ -129,9 +138,13 @@ class TestTrain:
 
     def test_report_has_header_and_rows(self, workspace):
         lines = (workspace["run"] / "train_report.csv").read_text().splitlines()
-        assert lines[0] == ("epoch,cost,val_ppl,seconds,grad_norm_mean,grad_norm_max,"
-                            "clip_frac,positions_per_s")
+        assert lines[0] == "epoch,cost,val_ppl,grad_norm_mean,grad_norm_max,clip_frac"
         assert len(lines) == 13
+        # the wall-clock columns have their own file
+        timing = (workspace["run"] / "timing.csv").read_text().splitlines()
+        assert timing[0] == "epoch,seconds,positions_per_s"
+        assert [line.split(",")[0] for line in timing[1:]] == [str(e) for e in range(1, 13)]
+        assert all(float(value) > 0 for line in timing[1:] for value in line.split(",")[1:])
 
     def test_missing_feature_file_names_path(self, workspace, tmp_path):
         data = workspace["data"]
@@ -155,10 +168,20 @@ class TestTrain:
                     "--epochs", "3", "--d-e1", "8", "--d-e2", "8",
                     "--d-r", "8", "--d-m", "8", "--seed", "5")
             outs.append(out)
-        assert (outs[0] / "checkpoint.mrnm").read_bytes() == \
-               (outs[1] / "checkpoint.mrnm").read_bytes()
-        assert (outs[0] / "manifest.json").read_bytes() == \
-               (outs[1] / "manifest.json").read_bytes()
+        for name in ("checkpoint.mrnm", "vocab.txt", "manifest.json", "train_report.csv"):
+            assert sha256(outs[0] / name) == sha256(outs[1] / name), name
+        # evals of one checkpoint into two directories write the same files
+        evals = []
+        for sub in ("e1", "e2"):
+            out = tmp_path / sub
+            run_cli("eval", "ppl", "--checkpoint", str(outs[0] / "checkpoint.mrnm"),
+                    "--vocab", str(outs[0] / "vocab.txt"),
+                    "--captions", str(data / "captions.tsv"),
+                    "--features", str(data / "features.mrnf"),
+                    "--split", str(data / "split.tsv"), "--out", str(out))
+            evals.append(out)
+        for name in ("manifest.json", "metrics.json", "metrics.csv"):
+            assert sha256(evals[0] / name) == sha256(evals[1] / name), name
 
     def test_config_file_and_flag_override(self, workspace, tmp_path):
         data = workspace["data"]
@@ -351,8 +374,11 @@ class TestEval:
         assert 1024.0 <= bits_per_word(params, subset, store) < np.inf
         proc = run_cli("eval", "ppl", *args, "--out", str(tmp_path / "out"))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ppl inf\n", "")
-        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
-        assert metrics == {"ppl": math.inf}
+        # strict JSON has no Infinity: a metric that is not finite is null
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text(),
+                             parse_constant=refuse_constant)
+        assert metrics == {"ppl": None}
+        assert (tmp_path / "out" / "metrics.csv").read_text() == "metric,value\nppl,inf\n"
 
     def test_bleu_prints_three_scores(self, workspace):
         proc = run_cli("eval", "bleu", *eval_args(workspace), "--subset", "test")
@@ -375,7 +401,8 @@ class TestEval:
             run_cli("eval", "retrieval", "--direction", "i2t",
                     *eval_args(workspace), "--subset", "train",
                     "--norm-images", "5", "--out", str(out))
-            blobs.append((out / "metrics.json").read_bytes())
+            blobs.append([(out / name).read_bytes() for name in
+                          ("metrics.json", "metrics.csv", "curve.csv", "manifest.json")])
         assert blobs[0] == blobs[1]
 
     def test_retrieval_shortlist(self, workspace):
@@ -750,6 +777,76 @@ class TestTrainSettings:
                                 "--out", str(tmp_path / "o"), flag, value)
         assert (code, err) == (1, f"error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+
+def option_names(*command):
+    """The dests of a command's options, less --help, --out and the file flags."""
+    parser = build_parser()
+    for name in command:
+        parser = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices[name]
+    files = {"captions", "features", "split", "config", "checkpoint", "vocab"}
+    return {action.dest for action in parser._actions if action.option_strings
+            and action.dest not in {"help", "out", *files}}
+
+
+class TestManifest:
+    """Each command's manifest records every non-file option it parsed as a
+    setting, every file flag given as an input and every file it wrote."""
+
+    def command_args(self, ws, command, tmp_path):
+        data, run = ws["data"], ws["run"]
+        corpus = ["--captions", str(data / "captions.tsv"),
+                  "--features", str(data / "features.mrnf"), "--split", str(data / "split.tsv")]
+        model = ["--checkpoint", str(run / "checkpoint.mrnm"), "--vocab", str(run / "vocab.txt")]
+        (tmp_path / "run.cfg").write_text("d_r = 4\n")
+        return {
+            "synth": ["synth", "--images", "4", "--seed", "2"],
+            "train": ["train", *corpus, "--config", str(tmp_path / "run.cfg"), "--epochs", "1",
+                      "--d-e1", "4", "--d-e2", "4", "--d-m", "4"],
+            "eval ppl": ["eval", "ppl", *model, *corpus],
+            "eval bleu": ["eval", "bleu", *model, *corpus, "--max-len", "3"],
+            "eval retrieval": ["eval", "retrieval", *model, *corpus, "--direction", "i2t",
+                               "--norm-images", "3", "--shortlist", "2"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval ppl", "eval bleu",
+                                         "eval retrieval"])
+    def test_records_every_option_input_and_output(self, workspace, tmp_path, capsys, command):
+        argv = self.command_args(workspace, command, tmp_path)
+        out = tmp_path / "out"
+        code, _, _ = run_main(capsys, *argv, "--out", str(out))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        args = build_parser().parse_args([*argv, "--out", str(out)])
+        assert set(manifest["settings"]) == option_names(*command.split())
+        if command == "train":
+            assert manifest["settings"] == {**resolve_settings(args), "clip_norm": "5.0"}
+            assert manifest["settings"]["d_r"] == 4  # resolved from the config file
+        else:
+            assert manifest["settings"] == {name: getattr(args, name)
+                                            for name in manifest["settings"]}
+        given = {flag.lstrip("-"): Path(path) for flag, path in zip(argv, argv[1:])
+                 if flag in ("--captions", "--features", "--split", "--config",
+                             "--checkpoint", "--vocab")}
+        assert manifest["inputs"] == {name: {"path": str(path), "sha256": sha256(path)}
+                                      for name, path in given.items()}
+        assert sorted([*manifest["outputs"].values(), "manifest.json"]) == \
+               sorted(p.name for p in out.iterdir())
+
+    def test_bleu_max_len_is_recorded(self, workspace, tmp_path, capsys):
+        # without length matching --max-len changes the captions, so the scores
+        settings, metrics = [], []
+        for max_len in ("2", "20"):
+            out = tmp_path / max_len
+            code, _, _ = run_main(capsys, "eval", "bleu", *eval_args(workspace),
+                                  "--no-length-match", "--max-len", max_len, "--out", str(out))
+            assert code == 0
+            settings.append(json.loads((out / "manifest.json").read_text())["settings"])
+            metrics.append((out / "metrics.json").read_text())
+        assert metrics[0] != metrics[1]
+        assert [s["max_len"] for s in settings] == [2, 20]
+        assert all(s["no_length_match"] is True for s in settings)
 
 
 class TestRetrievalScores:

@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 from helpers import randomize_biases, sentence_log2prob_oracle
 from mrnn import inference
-from mrnn.corpus import build_vocabulary
+from mrnn.corpus import END_INDEX, build_vocabulary
 from mrnn.evaluation import retrieval_eval
 from mrnn.inference import (GenerationConfig, generate, log2_sum_exp2,
                             log2prob_matrix, marginal_log2prob,
@@ -69,6 +69,22 @@ class TestGenerate:
                            GenerationConfig(force_length=n))
             assert len(out) == n
             assert "##END##" not in out
+
+    @pytest.mark.parametrize("gcfg", [GenerationConfig(force_length=3),
+                                      GenerationConfig(mode="sample", seed=3, force_length=4)],
+                             ids=["greedy", "sample"])
+    def test_banned_end_sign_fallback_emits_words(self, gcfg):
+        # every probability but the end sign's underflows to 0, so banning
+        # the end sign leaves no mass and the pick falls back to uniform
+        params = ModelParams.initialize(ModelConfig(vocab_size=9, d_i=2, d_e1=3, d_e2=3,
+                                                    d_r=4, d_m=5), Rng(1))
+        params["b_out"][END_INDEX] = 800.0
+        vocab = build_vocabulary(["w3 w4 w5 w6 w7 w8"])
+        out = generate(params, vocab, [0.5, -0.25], gcfg)
+        assert len(out) == gcfg.force_length
+        assert "##START##" not in out and "##END##" not in out
+        if gcfg.mode == "greedy":
+            assert out == ["##UNK##"] * 3  # the lowest index of the uniform fallback
 
     def test_max_length_one(self):
         out = generate(make_params(7), VOCAB, FEAT, GenerationConfig(max_length=1))

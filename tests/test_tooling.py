@@ -117,6 +117,30 @@ def test_one_log_probability_path():
     assert not hasattr(importlib.import_module("mrnn.numerics"), "log_softmax")
 
 
+def test_one_writer_for_run_outputs():
+    # every JSON file of a run is written by cli.write_run, strictly: a
+    # non-finite float raises there instead of writing Infinity or NaN
+    dumps = []
+    for path in PACKAGE_DIR.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writer = {id(node) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                  and func.name == "write_run" for node in ast.walk(func)}
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "json"], path.name
+        dumps += [(path.name, id(node) in writer,
+                   [ast.literal_eval(k.value) for k in node.keywords if k.arg == "allow_nan"])
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "dumps"
+                  and getattr(node.func.value, "id", None) == "json"]
+    assert dumps and all(d == ("cli.py", True, [False]) for d in dumps), dumps
+    # the training loop returns its report; it opens and writes no file
+    tree = ast.parse((PACKAGE_DIR / "training.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) == "open"
+                     or getattr(node.func, "attr", None) in ("open", "write_text",
+                                                             "write_bytes"))]
+
+
 def callers_in_package():
     """{called name: names of the package functions that call it}, from the
     ``ast`` of every module under ``src/mrnn``."""

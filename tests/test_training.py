@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, mean_sentence_gradient, numeric_sentence_gradient,
                      randomize_biases, sentence_forward, sentence_log2prob_oracle)
-from mrnn import training
+from mrnn import cli, training
 from mrnn.corpus import (START_INDEX, CaptionedExample, DatasetSplit, ImageFeatureStore,
                          SynthSpec, generate_synthetic_corpus)
 from mrnn.model import (LN2, ModelConfig, ModelParams, backward_batch, backward_sentence,
@@ -272,15 +272,32 @@ class TestTrain:
         evaluated = [r.epoch for r in report.rows if r.val_ppl is not None]
         assert evaluated == [2, 4, 5]  # every other epoch plus the final one
 
-    def test_report_csv_format(self, tmp_path):
-        cfg, split, store = uniform_dataset(n=2)
-        _, report = train(self.small_config(cfg, epochs=2), split, store)
-        report.to_csv(tmp_path / "report.csv")
-        lines = (tmp_path / "report.csv").read_text().splitlines()
-        assert lines[0] == ("epoch,cost,val_ppl,seconds,grad_norm_mean,grad_norm_max,"
-                            "clip_frac,positions_per_s")
-        assert len(lines) == 3
-        assert lines[1].split(",")[2] == ""  # no validation split -> blank
+    def test_report_csv_format(self, tmp_path, capsys, monkeypatch):
+        # `mrnn train` writes the report's rows: each value its repr, and the
+        # wall-clock columns in timing.csv
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert cli.main(["synth", "--out", str(data), "--images", "4", "--val-frac", "0",
+                         "--seed", "1"]) == 0
+        seen = []
+
+        def spy(*args):
+            seen.append(train(*args))
+            return seen[-1]
+        monkeypatch.setattr(cli, "train", spy)
+        assert cli.main(["train", "--captions", str(data / "captions.tsv"),
+                         "--features", str(data / "features.mrnf"),
+                         "--split", str(data / "split.tsv"), "--out", str(run),
+                         "--epochs", "2", "--d-e1", "4", "--d-e2", "4", "--d-r", "4",
+                         "--d-m", "4"]) == 0
+        capsys.readouterr()
+        rows = seen[0][1].rows
+        assert (run / "train_report.csv").read_text() == "".join(
+            ["epoch,cost,val_ppl,grad_norm_mean,grad_norm_max,clip_frac\n"]
+            + [f"{r.epoch},{r.cost!r},,{r.grad_norm_mean!r},{r.grad_norm_max!r},"
+               f"{r.clip_frac!r}\n" for r in rows])  # no validation split -> blank
+        assert (run / "timing.csv").read_text() == "".join(
+            ["epoch,seconds,positions_per_s\n"]
+            + [f"{r.epoch},{r.seconds!r},{r.positions_per_s!r}\n" for r in rows])
 
     def test_lambda_must_be_nonnegative(self):
         # and both it and the learning rate finite
