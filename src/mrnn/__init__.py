@@ -13,7 +13,7 @@ from .evaluation import (BleuScore, RecallCurve, RetrievalMetrics, bleu,
 from .inference import GenerationConfig, generate, sentence_log2prob
 from .model import (ForwardTrace, Gradients, ModelConfig, ModelParams, Packing,
                     backward_batch, backward_sentence, forward_batch,
-                    forward_sentence, forward_step, load_checkpoint,
+                    forward_sentence, forward_step, image_term, load_checkpoint,
                     nearest_words, save_checkpoint, target_log2prob)
 from .numerics import Rng, init_matrix, matvec, relu, scaled_tanh, softmax
 from .training import (TrainConfig, TrainReport, TrainingDiverged, cost,
@@ -28,7 +28,7 @@ __all__ = [
     "TrainingDiverged", "Vocabulary", "backward_batch", "backward_sentence", "bleu",
     "build_vocabulary", "corpus_perplexity", "cost", "forward_batch", "forward_sentence",
     "forward_step", "generate", "generate_synthetic_corpus", "generation_bleu",
-    "gradient_check", "init_matrix", "load_checkpoint", "load_features",
+    "gradient_check", "image_term", "init_matrix", "load_checkpoint", "load_features",
     "matvec", "nearest_words", "recall_curve", "relu", "retrieval_eval",
     "save_checkpoint", "save_features", "scaled_tanh", "sentence_log2prob",
     "shortlist", "softmax", "target_log2prob", "tokenize", "train",

@@ -13,8 +13,8 @@ import inspect
 
 import numpy as np
 
-from .corpus import (MIN_COUNT, CaptionedExample, DatasetSplit, ImageFeatureStore,
-                     build_vocabulary)
+from .corpus import (MIN_COUNT, DatasetSplit, ImageFeatureStore, build_vocabulary,
+                     make_example)
 from .evaluation import corpus_perplexity
 from .inference import GenerationConfig, generate
 from .model import ModelConfig
@@ -60,22 +60,18 @@ class MRNNCaptioner:
         return self
 
     def _dataset(self, X: np.ndarray, captions: list[str], vocab):
+        """One example per row, and a feature store with an image id per row."""
         image_ids = [f"x{i:06d}" for i in range(len(X))]
-        split = DatasetSplit()
-        for i, (image_id, text) in enumerate(zip(image_ids, captions)):
-            tokens = vocab.encode(text)
-            if not tokens:
-                raise ValueError(f"caption {i} tokenizes to nothing: {text!r}")
-            split.train.append(CaptionedExample(image_id, tokens, text))
-        return split, ImageFeatureStore(image_ids, X)
+        examples = [make_example(vocab, *pair) for pair in zip(image_ids, captions)]
+        return examples, ImageFeatureStore(image_ids, X)
 
     def fit(self, X, y) -> "MRNNCaptioner":
         X = as_feature_matrix(X)
         captions = check_captions(y, len(X))
         self.vocab_ = build_vocabulary(captions, min_count=self.min_count)
-        split, store = self._dataset(X, captions, self.vocab_)
+        examples, store = self._dataset(X, captions, self.vocab_)
         config = TrainConfig.from_settings(self.get_params(), self.vocab_.size, X.shape[1])
-        self.params_, self.report_ = train(config, split, store)
+        self.params_, self.report_ = train(config, DatasetSplit(train=examples), store)
         return self
 
     def predict(self, X) -> list[str]:
@@ -88,8 +84,7 @@ class MRNNCaptioner:
     def _scored(self, X, y):
         check_is_fitted(self, "params_")
         X = as_feature_matrix(X)
-        split, store = self._dataset(X, check_captions(y, len(X)), self.vocab_)
-        return self.params_, split.train, store
+        return self.params_, *self._dataset(X, check_captions(y, len(X)), self.vocab_)
 
     def perplexity(self, X, y) -> float:
         return corpus_perplexity(*self._scored(X, y))

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, Vocabulary
-from .model import (ModelParams, forward_sentence, forward_step, sentence_layers,
-                    target_log2prob)
+from .model import (ModelParams, forward_sentence, forward_step, image_term,
+                    sentence_layers, target_log2prob)
 from .numerics import Rng, scaled_tanh
+from .training import perplexity
 
 # Bound on the elements of one pack's (P, max(d_m, V)) activations, and of
 # one image chunk's (images, P, max(d_m, V)), in log2prob_matrix, P being
@@ -77,25 +78,26 @@ def generate(params: ModelParams, vocab: Vocabulary, image_feature,
     Starts from the start sign (plus any prefix tokens, which are echoed in
     the output), then repeatedly emits the argmax or a sampled token until
     the end sign or the length cap.  The framing start/end signs are not
-    part of the returned sequence.
+    part of the returned sequence.  The image term is projected once.
     """
     rng = Rng(gcfg.seed) if gcfg.mode == "sample" else None
-    limit = gcfg.limit
+    term = image_term(params, [image_feature])
+    term = None if term is None else term[0]
 
     r = np.zeros(params.config.d_r, dtype=params.dtype)
-    y, r = forward_step(params, START_INDEX, r, image_feature)
+    y, r = forward_step(params, START_INDEX, r, term)
     out: list[int] = []
     for w in gcfg.prefix or []:
         out.append(w)
-        y, r = forward_step(params, w, r, image_feature)
-    while len(out) < limit:
+        y, r = forward_step(params, w, r, term)
+    while len(out) < gcfg.limit:
         w = _pick(y, gcfg.mode, rng, ban_end=gcfg.force_length is not None)
         if w == END_INDEX:
             break
         out.append(w)
-        if len(out) >= limit:
+        if len(out) >= gcfg.limit:
             break
-        y, r = forward_step(params, w, r, image_feature)
+        y, r = forward_step(params, w, r, term)
     return vocab.decode(out)
 
 
@@ -109,8 +111,7 @@ def sentence_log2prob(params: ModelParams, tokens: list[int],
     """
     trace = forward_sentence(params, tokens, image_feature)
     log2p = float(target_log2prob(params, trace.m, trace.targets).sum())
-    bits = -log2p / len(trace)
-    return log2p, 2.0 ** bits if bits < 1024 else math.inf
+    return log2p, perplexity(-log2p / len(trace))
 
 
 def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
@@ -126,15 +127,11 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
     sentence gets a copy of its first row, so repeats tie exactly.  Agrees
     with ``sentence_log2prob`` to rounding.
     """
-    cfg = params.config
-    if cfg.variant != "mrnn":
+    img = image_term(params, image_matrix)
+    if img is None:
         raise ValueError("image scoring needs the mrnn variant; the baseline ignores the image")
-    feats = np.asarray(image_matrix, dtype=params.dtype)
-    if feats.ndim != 2 or feats.shape[1] != cfg.d_i:
-        raise ValueError(f"image matrix has shape {feats.shape}, expected (N, {cfg.d_i})")
-    img = feats @ params["V_I"].T
     distinct = list(dict.fromkeys(map(tuple, token_lists)))
-    width = max(cfg.d_m, cfg.vocab_size)
+    width = max(params.config.d_m, params.config.vocab_size)
     per_pack = max(1, CHUNK_ELEMENTS // (width * (max(map(len, distinct), default=0) + 1)))
     logs = np.zeros((len(distinct), len(img)))
     for s in range(0, len(distinct), per_pack):

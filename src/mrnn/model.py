@@ -202,34 +202,41 @@ class ForwardTrace:
         return len(self.inputs)
 
 
-def _image_feature(params: ModelParams, image_feature) -> np.ndarray:
-    feat = np.asarray(image_feature, dtype=params.dtype)
-    if feat.shape != (params.config.d_i,):
-        raise ValueError(f"image feature has shape {feat.shape}, expected ({params.config.d_i},)")
-    return feat
+def image_term(params: ModelParams, image_features) -> np.ndarray | None:
+    """The image's one term, ``V_I . I`` (B, d_m) for the rows I of a (B, d_i)
+    feature matrix, added at every step; None for the baseline (no image)."""
+    cfg = params.config
+    if cfg.variant == "baseline":
+        return None
+    feats = np.asarray(image_features, dtype=params.dtype)
+    if feats.ndim != 2 or feats.shape[1] != cfg.d_i:
+        raise ValueError(f"image feature has shape {feats.shape[1:]}, expected ({cfg.d_i},)")
+    return feats @ params["V_I"].T
 
 
 def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
-                 image_feature: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                 term: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """One timestep: consume a word index, emit the next-word distribution.
 
-    Returns (y, r).  Decoding runs on it, and it is the per-step reference
-    that ``forward_sentence`` is tested against.  The embedding lookup is
-    the one-hot matvec done as a row pick, which is mathematically
-    identical and O(M) cheaper.
+    ``term`` is the image's ``image_term`` row, (d_m,), or None.  Returns
+    (y, r).  Decoding runs on it; it is the per-step reference for
+    ``forward_sentence``.  The embedding lookup is the one-hot matvec done
+    as a row pick, which is mathematically identical and O(M) cheaper.
     """
     cfg = params.config
     if not 0 <= word_index < cfg.vocab_size:
         raise IndexError(f"word index {word_index} out of range for M={cfg.vocab_size}")
     if r_prev.shape != (cfg.d_r,):
         raise ValueError(f"recurrent state has shape {r_prev.shape}, expected ({cfg.d_r},)")
+    if term is not None and term.shape != (cfg.d_m,):
+        raise ValueError(f"image term has shape {term.shape}, expected ({cfg.d_m},)")
 
     e1 = params["E1"][word_index]
     e2 = relu(matvec(params["E2"], e1) + params["b_e2"])
     r = relu(matvec(params["U_r"], r_prev) + matvec(params["W_in"], e2) + params["b_r"])
     m_pre = matvec(params["V_w"], e2) + matvec(params["V_r"], r)
-    if cfg.variant == "mrnn":
-        m_pre += matvec(params["V_I"], _image_feature(params, image_feature))
+    if term is not None:
+        m_pre += term
     m = scaled_tanh(m_pre + params["b_m"])
     y = softmax(matvec(params["W_out"], m) + params["b_out"])
     return y, r
@@ -289,15 +296,13 @@ def forward_batch(params: ModelParams, token_lists: list[list[int]],
     ``image_features`` is (B, d_i), row b for sentence b (ignored by the
     baseline).  Every r(0) is the zero vector.
     """
-    cfg = params.config
     trace, m_pre = sentence_layers(params, token_lists)
-    if cfg.variant == "mrnn":
-        feats = np.asarray(image_features, dtype=params.dtype)
-        if feats.shape != (len(token_lists), cfg.d_i):
-            raise ValueError(f"image features have shape {feats.shape}, "
-                             f"expected ({len(token_lists)}, {cfg.d_i})")
-        trace.feats = feats
-        m_pre = m_pre + (feats @ params["V_I"].T)[trace.packing.sent]
+    term = image_term(params, image_features)
+    if term is not None:
+        if len(term) != len(token_lists):
+            raise ValueError(f"image features for {len(term)} sentences, not {len(token_lists)}")
+        trace.feats = np.asarray(image_features, dtype=params.dtype)
+        m_pre = m_pre + term[trace.packing.sent]
     trace.m = scaled_tanh(m_pre)
     return trace
 
@@ -305,9 +310,7 @@ def forward_batch(params: ModelParams, token_lists: list[list[int]],
 def forward_sentence(params: ModelParams, tokens: list[int],
                      image_feature: np.ndarray | None) -> ForwardTrace:
     """``forward_batch`` for one sentence; r(0) is the zero vector."""
-    if params.config.variant == "baseline":
-        return forward_batch(params, [tokens], None)
-    return forward_batch(params, [tokens], _image_feature(params, image_feature)[None])
+    return forward_batch(params, [tokens], [image_feature])
 
 
 def backward_batch(params: ModelParams, trace: ForwardTrace, weights) -> Gradients:

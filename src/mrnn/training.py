@@ -100,12 +100,12 @@ class TrainReport:
 
 def _forward(params: ModelParams, examples: list[CaptionedExample],
              features: ImageFeatureStore | None):
-    """The packed forward pass over ``examples`` with their image features."""
+    """The packed forward pass over ``examples`` with their features in the model's dtype."""
     feats = None
     if params.config.variant != "baseline":
         if features is None:
             raise ValueError("the mrnn variant needs an image feature store")
-        feats = features.matrix([ex.image_id for ex in examples])
+        feats = features.matrix([ex.image_id for ex in examples]).astype(params.dtype, copy=False)
     return forward_batch(params, [ex.tokens for ex in examples], feats)
 
 
@@ -122,11 +122,15 @@ def bits_per_word(params: ModelParams, examples: list[CaptionedExample],
     return -log2p / sum(len(ex.tokens) + 1 for ex in examples)
 
 
+def perplexity(bits: float) -> float:
+    """The perplexity of ``bits`` per word, 2 ** bits; inf from 1024 bits on."""
+    return 2.0 ** bits if bits < 1024 else math.inf
+
+
 def corpus_perplexity(params: ModelParams, examples: list[CaptionedExample],
                       features: ImageFeatureStore | None) -> float:
-    """Word-weighted perplexity, 2 ** ``bits_per_word``; inf from 1024 bits on."""
-    bits = bits_per_word(params, examples, features)
-    return 2.0 ** bits if bits < 1024 else math.inf
+    """Word-weighted perplexity, ``perplexity`` of ``bits_per_word``."""
+    return perplexity(bits_per_word(params, examples, features))
 
 
 def cost(params: ModelParams, examples: list[CaptionedExample],

@@ -599,6 +599,22 @@ class TestEval:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "big.mrnf: truncated" in proc.stderr
 
+    def test_mis_sized_features_give_one_error_line(self, workspace, tmp_path, capsys):
+        # every command that reads the image reads it through model.image_term
+        store = load_features(workspace["data"] / "features.mrnf")
+        d_i = store.feature_dim
+        wide = ImageFeatureStore(store.ids(), np.hstack([store.matrix(), np.ones((len(store), 1))]))
+        save_features(wide, tmp_path / "wide.mrnf")
+        args = eval_args(workspace, "--subset", "test")
+        args[args.index("--features") + 1] = str(tmp_path / "wide.mrnf")
+        commands = [["generate", *args[:4], *args[6:8], "--image-id", store.ids()[0]],
+                    ["eval", "ppl", *args], ["eval", "bleu", *args],
+                    ["eval", "retrieval", *args, "--direction", "t2i"],
+                    ["eval", "retrieval", *args, "--direction", "i2t"]]
+        for command in commands:
+            assert run_main(capsys, *command) == (
+                1, "", f"error: image feature has shape ({d_i + 1},), expected ({d_i},)\n"), command
+
 
 @pytest.fixture(scope="module")
 def baseline_run(workspace, tmp_path_factory):

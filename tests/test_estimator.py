@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrnn.corpus import build_vocabulary
 from mrnn.estimator import MRNNCaptioner
 from mrnn.validation import NotFittedError, as_feature_matrix, check_captions
 
@@ -112,6 +113,12 @@ class TestValidationHelpers:
     def test_captions_reject_blank(self):
         with pytest.raises(ValueError, match="non-empty"):
             check_captions(["ok", "   "], 2)
+
+    def test_caption_without_tokens_is_refused_and_quoted(self):
+        # check_captions refuses a blank caption first; the dataset refuses it too
+        vocab = build_vocabulary(["a cat"])
+        with pytest.raises(ValueError, match="tokenizes to nothing: ' '"):
+            MRNNCaptioner()._dataset(np.ones((2, 3)), ["a cat", " "], vocab)
 
     def test_fit_rejects_mismatched_inputs(self):
         with pytest.raises(ValueError):

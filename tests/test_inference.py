@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mrnn.evaluation import retrieval_eval
 from mrnn.inference import (GenerationConfig, generate, log2_sum_exp2,
                             log2prob_matrix, marginal_log2prob,
                             normalized_log2prob_matrix, sentence_log2prob)
-from mrnn.model import ModelConfig, ModelParams, sentence_layers
+from mrnn.model import ModelConfig, ModelParams, forward_step, image_term, sentence_layers
 from mrnn.numerics import Rng
 
 VOCAB = build_vocabulary(["sand waves shore surf", "summit ridge pines glacier"])
@@ -31,6 +32,29 @@ class TestGenerate:
         out = generate(params, VOCAB, FEAT, GenerationConfig(max_length=7))
         # uniform distribution: greedy tie-break picks index 0 every step
         assert out == ["##START##"] * 7
+
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    @pytest.mark.parametrize("length", [1, 4, 15])
+    def test_image_projected_once_per_caption(self, monkeypatch, variant, length):
+        projected, terms = [], []
+
+        def counted_term(params, image_features):
+            projected.append(np.shape(image_features))
+            return image_term(params, image_features)
+
+        def recorded_step(params, word_index, r_prev, term):
+            terms.append(term)
+            return forward_step(params, word_index, r_prev, term)
+
+        monkeypatch.setattr(inference, "image_term", counted_term)
+        monkeypatch.setattr(inference, "forward_step", recorded_step)
+        params = ModelParams.initialize(
+            ModelConfig(vocab_size=VOCAB.size, d_i=3, variant=variant, d_r=6, d_m=8), Rng(5))
+        out = generate(params, VOCAB, FEAT, GenerationConfig(force_length=length))
+        assert len(out) == length and projected == [(1, 3)]
+        # one step per emitted word, the last excepted, plus the start sign's
+        assert len(terms) == length and all(term is terms[0] for term in terms)
+        assert (terms[0] is None) == (variant == "baseline")
 
     def test_terminates_within_max_length(self):
         for seed in range(5):
@@ -209,7 +233,7 @@ class TestLog2ProbMatrix:
 
     def test_bad_inputs(self):
         params = make_params(3)
-        with pytest.raises(ValueError, match="image matrix"):
+        with pytest.raises(ValueError, match=re.escape("image feature has shape (4,), expected (3,)")):
             log2prob_matrix(params, [[3]], np.zeros((2, 4)))
         with pytest.raises(IndexError):
             log2prob_matrix(params, [[VOCAB.size]], np.zeros((2, 3)))

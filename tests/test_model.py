@@ -10,7 +10,7 @@ from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradien
 from mrnn.corpus import build_vocabulary
 from mrnn.model import (LN2, VARIANTS, ModelConfig, ModelParams, Packing, backward_batch,
                         backward_sentence, forward_batch, forward_sentence,
-                        forward_step, load_checkpoint, nearest_words,
+                        forward_step, image_term, load_checkpoint, nearest_words,
                         output_logits, save_checkpoint, sentence_layers, target_log2prob)
 from mrnn.numerics import Rng, scaled_tanh, softmax
 
@@ -25,6 +25,12 @@ def tiny_params(seed=0, variant="mrnn"):
 
 
 FEAT = Rng(123).uniform(-1, 1, 3)
+
+
+def step_term(params, feat):
+    """``forward_step``'s image term for one feature vector: None for the baseline."""
+    term = image_term(params, [feat])
+    return None if term is None else term[0]
 
 
 def probs(params, trace):
@@ -71,8 +77,8 @@ class TestForward:
         params_b = params_a.copy()
         params_b.arrays["U_r"] = Rng(99).uniform(-1, 1, 36).reshape(6, 6)
         r0 = np.zeros(6)
-        ya, ra = forward_step(params_a, 4, r0, FEAT)
-        yb, rb = forward_step(params_b, 4, r0, FEAT)
+        ya, ra = forward_step(params_a, 4, r0, step_term(params_a, FEAT))
+        yb, rb = forward_step(params_b, 4, r0, step_term(params_b, FEAT))
         assert_array_equal(ra, rb)
         assert_array_equal(ya, yb)
 
@@ -105,10 +111,12 @@ class TestForward:
 
     def test_word_index_out_of_range(self):
         with pytest.raises(IndexError):
-            forward_step(tiny_params(), 11, np.zeros(6), FEAT)
+            forward_step(tiny_params(), 11, np.zeros(6), step_term(tiny_params(), FEAT))
 
     def test_feature_dim_mismatch(self):
-        with pytest.raises(ValueError, match="feature"):
+        with pytest.raises(ValueError, match=re.escape("image feature has shape (5,), expected (3,)")):
+            image_term(tiny_params(), [np.zeros(5)])
+        with pytest.raises(ValueError, match=re.escape("image term has shape (5,), expected (8,)")):
             forward_step(tiny_params(), 1, np.zeros(6), np.zeros(5))
 
     def test_zero_image_projection_makes_output_image_free(self):
@@ -134,9 +142,9 @@ class TestForward:
         trace = forward_sentence(params, tokens, FEAT)
         assert_array_equal(trace.inputs, inputs)
         assert_array_equal(trace.r[0], np.zeros(6))
-        r = np.zeros(6)
+        r, term = np.zeros(6), step_term(params, FEAT)
         for t, w in enumerate(inputs):
-            y, r = forward_step(params, w, r, FEAT)
+            y, r = forward_step(params, w, r, term)
             assert_allclose(probs(params, trace)[t], y, rtol=0, atol=1e-13)
             assert_allclose(trace.r[t + 1], r, rtol=0, atol=1e-13)
 
@@ -144,10 +152,11 @@ class TestForward:
         params = randomize_biases(tiny_params(seed=5), 5)
         inputs, _ = sentence_inputs_targets([1, 9, 2, 4])
         _, m_base = sentence_layers(params, [[1, 9, 2, 4]])
-        m = scaled_tanh(m_base + params["V_I"] @ FEAT)
+        term = params["V_I"] @ FEAT
+        m = scaled_tanh(m_base + term)
         r = np.zeros(6)
         for t, w in enumerate(inputs):
-            y, r = forward_step(params, w, r, FEAT)
+            y, r = forward_step(params, w, r, term)
             assert_allclose(softmax(output_logits(params, m[t])), y, rtol=0, atol=1e-13)
 
     def test_batched_word_index_out_of_range(self):

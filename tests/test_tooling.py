@@ -117,6 +117,21 @@ def test_one_log_probability_path():
     assert not hasattr(importlib.import_module("mrnn.numerics"), "log_softmax")
 
 
+def test_one_reader_of_the_image_projection():
+    # the image enters the network as one term, V_I . I, which model.image_term
+    # computes once per image: decoding, training and scoring all read it there
+    reads = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk reaches a nested function after its parent, so the innermost wins
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        reads += [(path.stem, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and getattr(node.slice, "value", None) == "V_I"]
+    assert reads == [("model", "image_term")]
+
+
 def test_one_writer_for_run_outputs():
     # every JSON file of a run is written by cli.write_run, strictly: a
     # non-finite float raises there instead of writing Infinity or NaN
