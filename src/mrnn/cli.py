@@ -23,7 +23,7 @@ from . import __version__
 from .corpus import (MIN_COUNT, SynthSpec, build_dataset, build_vocabulary,
                      generate_synthetic_corpus, load_captions, load_features,
                      load_split_map, load_vocab, save_captions, save_features,
-                     save_features_tsv, save_split_map, save_vocab)
+                     save_features_tsv, save_split_map, save_vocab, utf8_text)
 from .evaluation import (check_fractions, corpus_perplexity, generation_bleu,
                          recall_curve, retrieval_eval, shortlist)
 from .inference import (GenerationConfig, generate, log2prob_matrix,
@@ -115,7 +115,9 @@ def write_run(args, outputs: dict, metrics: dict | None = None,
 def load_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` settings file; '#' starts a comment."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with utf8_text(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -330,7 +332,11 @@ def _retrieval_scores(args, params, subset, store, dataset):
 def cmd_eval_retrieval(args) -> int:
     if args.direction == "t2i" and args.shortlist is not None:
         raise ValueError("--shortlist restricts the i2t candidates; t2i takes none")
-    fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
+    try:
+        fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
+    except ValueError:
+        raise ValueError(f"--fractions takes comma-separated numbers, "
+                         f"got {args.fractions!r}") from None
     check_fractions(fractions)
     params, _, subset, store, dataset = _load_eval_inputs(args)
     scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
@@ -488,7 +494,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, TrainingDiverged) as exc:
-        message = " ".join(str(exc).split())  # keep the error on a single line
+        # a KeyError's str() is the repr of its message, quotes and all
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        message = " ".join(str(text).split())  # keep the error on a single line
         print(f"error: {message}", file=sys.stderr)
         return 1
 

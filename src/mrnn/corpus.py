@@ -16,6 +16,7 @@ import os
 import re
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,12 +102,23 @@ def build_vocabulary(captions: list[str], min_count: int = MIN_COUNT) -> Vocabul
     return Vocabulary(kept)
 
 
+@contextmanager
+def utf8_text(path):
+    """Decode text file ``path`` inside the block: a byte that is not UTF-8
+    raises a ``ValueError`` that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def save_vocab(vocab: Vocabulary, path) -> None:
     Path(path).write_text("\n".join(vocab.index_to_token) + "\n", encoding="utf-8")
 
 
 def load_vocab(path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with utf8_text(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     if tuple(lines[:3]) != RESERVED:
         raise ValueError(f"vocab file {path} does not start with the reserved tokens")
     return Vocabulary(lines[3:])
@@ -291,7 +303,7 @@ def _load_features_tsv(path) -> ImageFeatureStore:
 
 def load_captions(path) -> list[tuple[str, str]]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_text(path):
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -312,7 +324,7 @@ def save_captions(pairs: list[tuple[str, str]], path) -> None:
 def load_split_map(path) -> dict[str, str]:
     labels = {"train", "val", "test"}
     split = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_text(path):
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -20,6 +20,7 @@ recurrent carry loops, over the steps.  One sentence is the batch of one.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -420,15 +421,21 @@ def load_checkpoint(path) -> ModelParams:
                           d_e1=d_e1, d_e2=d_e2, d_r=d_r, d_m=d_m)
         dtype = _CODE_DTYPES[dtype_code]
         (n_arrays,) = struct.unpack("<I", read_exact(fh, 4, "array count"))
+        # every payload goes into the next slice of one block, which the rest
+        # of the file bounds: one allocation in place of one per array
+        block = np.empty((os.fstat(fh.fileno()).st_size - fh.tell()) // 8, dtype="<f8")
+        used = 0
         arrays = {}
         for _ in range(n_arrays):
             (name_len,) = struct.unpack("<H", read_exact(fh, 2, "array name"))
             name = read_exact(fh, name_len, "array name").decode("utf-8")
             (ndim,) = struct.unpack("<B", read_exact(fh, 1, name))
             shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, name))
-            check_length(fh, 8 * math.prod(shape), f"array {name} of shape {shape}")
-            arrays[name] = read_exact(fh, np.empty(shape, dtype="<f8"), name).astype(
-                dtype, copy=False)
+            size = math.prod(shape)
+            check_length(fh, 8 * size, f"array {name} of shape {shape}")
+            payload = block[used:used + size].reshape(shape)
+            used += size
+            arrays[name] = read_exact(fh, payload, name).astype(dtype, copy=False)
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"{path}: array {name} has NaN or infinite entries")
         if fh.read(1):

@@ -3,15 +3,25 @@
 These deliberately avoid the library's own code paths: BLEU by explicit
 n-gram scanning, ranks by pairwise counting, gradients by central
 differences on the forward loss, by per-step BPTT or by one-sentence
-array passes.
+array passes.  ``run_cli`` drives the command line in this process, and
+``run_cli_process`` in a new interpreter.
 """
 
+import contextlib
+import io
 import math
+import os
 import struct
+import subprocess
+import sys
+import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 
+import mrnn
+from mrnn import cli
 from mrnn.corpus import END_INDEX, FEATURE_MAGIC, FEATURE_VERSION, START_INDEX
 from mrnn.model import LN2
 from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, softmax
@@ -297,3 +307,46 @@ def with_mrnf_dim(blob, dim):
     """A binary feature file with its header's dimension replaced."""
     # 4-byte magic, u32 version, u64 count, then the u32 dimension
     return blob[:16] + struct.pack("<I", dim) + blob[20:]
+
+
+def _checked(proc, check):
+    if check and proc.returncode != 0:
+        raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
+    return proc
+
+
+def run_cli(*args, check=True):
+    """``mrnn.cli.main`` in this process, as a ``subprocess.CompletedProcess``
+    with its exit code and what it printed on stdout and stderr.
+
+    argparse's ``SystemExit`` (0 for ``--help``, 2 for a usage error) becomes
+    the exit code.  Warnings are printed on the captured stderr, as a
+    ``python -m mrnn`` process prints them, so a test that reads an empty
+    stderr still sees one.  Any other exception propagates and fails the test.
+    """
+    argv = [str(arg) for arg in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                   for w in caught)
+    return _checked(subprocess.CompletedProcess(["mrnn", *argv], code, out.getvalue(),
+                                                err.getvalue()), check)
+
+
+def run_cli_process(hashseed, *args, check=True):
+    """``python -m mrnn`` in a new interpreter, with ``PYTHONHASHSEED`` set to
+    ``hashseed``, on the package this process imports.
+
+    Only a test of the entry point itself, or of output that must not depend
+    on set or dict order across runs, needs a second process.
+    """
+    env = {**os.environ, "PYTHONHASHSEED": str(hashseed),
+           "PYTHONPATH": str(Path(mrnn.__file__).resolve().parents[1])}
+    return _checked(subprocess.run([sys.executable, "-m", "mrnn", *map(str, args)],
+                                   capture_output=True, text=True, env=env), check)

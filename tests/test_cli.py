@@ -5,15 +5,14 @@ import json
 import math
 import shutil
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (corrupt_checkpoint, oracle_first_rank, oracle_top, randomize_biases,
-                     sentence_log2prob_oracle, with_mrnf_dim, write_mrnf)
+                     run_cli, run_cli_process, sentence_log2prob_oracle, with_mrnf_dim,
+                     write_mrnf)
 from mrnn import cli
 from mrnn.cli import _retrieval_scores, build_parser, resolve_settings
 from mrnn.corpus import (UNK_INDEX, CaptionedExample, DatasetSplit, ImageFeatureStore,
@@ -25,21 +24,6 @@ from mrnn.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, VARIANTS, ModelCon
                         ModelParams, load_checkpoint, save_checkpoint)
 from mrnn.numerics import Rng
 from mrnn.training import TrainConfig, bits_per_word, train
-
-
-def run_cli(*args, check=True):
-    proc = subprocess.run([sys.executable, "-m", "mrnn", *args],
-                          capture_output=True, text=True)
-    if check and proc.returncode != 0:
-        raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
-    return proc
-
-
-def run_main(capsys, *args):
-    """``cli.main`` in this process: (exit code, stdout, stderr)."""
-    code = cli.main(list(args))
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +92,9 @@ class TestSynth:
         ("bin", ("captions.tsv", "features.mrnf", "split.tsv")),
         ("tsv", ("features.tsv",)),
     ])
-    def test_pinned_bytes(self, tmp_path, capsys, feature_format, names):
-        code, _, _ = run_main(capsys, "synth", "--out", str(tmp_path), "--images", "12",
-                              "--topics", "3", "--seed", "1",
-                              "--feature-format", feature_format)
-        assert code == 0
+    def test_pinned_bytes(self, tmp_path, feature_format, names):
+        run_cli("synth", "--out", str(tmp_path), "--images", "12", "--topics", "3",
+                "--seed", "1", "--feature-format", feature_format)
         for name in names:
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == self.PINNED_SHA256[name], name
@@ -121,11 +103,11 @@ class TestSynth:
         ("--topics", "0"), ("--topics", "-2"), ("--captions-per-image", "0"),
         ("--noise-dim", "-1"), ("--train-frac", "1.5"), ("--val-frac", "0.5"),
     ])
-    def test_bad_spec_is_one_error_line(self, tmp_path, capsys, flag, value):
-        code, _, err = run_main(capsys, "synth", "--out", str(tmp_path / "o"),
-                                "--images", "6", flag, value)
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_bad_spec_is_one_error_line(self, tmp_path, flag, value):
+        proc = run_cli("synth", "--out", str(tmp_path / "o"), "--images", "6", flag, value,
+                       check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
 
@@ -157,28 +139,53 @@ class TestTrain:
         assert proc.stderr.strip().startswith("error:")
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_missing_path_with_a_newline_is_one_error_line(self, workspace, tmp_path):
+        data = workspace["data"]
+        captions = tmp_path / "two\nlines.tsv"
+        proc = run_cli("train", "--captions", str(captions),
+                       "--features", str(data / "features.mrnf"),
+                       "--split", str(data / "split.tsv"),
+                       "--out", str(tmp_path / "o"), check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: missing file: {tmp_path}/two lines.tsv\n"
+
+    def test_non_utf8_config_file_is_one_error_line(self, workspace, tmp_path):
+        data = workspace["data"]
+        (tmp_path / "run.cfg").write_bytes(b"epochs = 1\n# r\xe9glages\n")
+        proc = run_cli("train", "--captions", str(data / "captions.tsv"),
+                       "--features", str(data / "features.mrnf"),
+                       "--split", str(data / "split.tsv"), "--out", str(tmp_path / "o"),
+                       "--config", str(tmp_path / "run.cfg"), check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: {tmp_path / 'run.cfg'}: not UTF-8 text "
+                               f"(invalid continuation byte)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_identical_checkpoint_and_manifest(self, workspace, tmp_path):
+        # two processes with two string-hash seeds: output that follows set or
+        # dict order would differ between them, and not between two in-process runs
         data = workspace["data"]
         outs = []
-        for sub in ("r1", "r2"):
+        for hashseed, sub in ((1, "r1"), (2, "r2")):
             out = tmp_path / sub
-            run_cli("train", "--captions", str(data / "captions.tsv"),
-                    "--features", str(data / "features.mrnf"),
-                    "--split", str(data / "split.tsv"), "--out", str(out),
-                    "--epochs", "3", "--d-e1", "8", "--d-e2", "8",
-                    "--d-r", "8", "--d-m", "8", "--seed", "5")
+            run_cli_process(hashseed, "train", "--captions", str(data / "captions.tsv"),
+                            "--features", str(data / "features.mrnf"),
+                            "--split", str(data / "split.tsv"), "--out", str(out),
+                            "--epochs", "3", "--d-e1", "8", "--d-e2", "8",
+                            "--d-r", "8", "--d-m", "8", "--seed", "5")
             outs.append(out)
         for name in ("checkpoint.mrnm", "vocab.txt", "manifest.json", "train_report.csv"):
             assert sha256(outs[0] / name) == sha256(outs[1] / name), name
         # evals of one checkpoint into two directories write the same files
         evals = []
-        for sub in ("e1", "e2"):
+        for hashseed, sub in ((1, "e1"), (2, "e2")):
             out = tmp_path / sub
-            run_cli("eval", "ppl", "--checkpoint", str(outs[0] / "checkpoint.mrnm"),
-                    "--vocab", str(outs[0] / "vocab.txt"),
-                    "--captions", str(data / "captions.tsv"),
-                    "--features", str(data / "features.mrnf"),
-                    "--split", str(data / "split.tsv"), "--out", str(out))
+            run_cli_process(hashseed, "eval", "ppl",
+                            "--checkpoint", str(outs[0] / "checkpoint.mrnm"),
+                            "--vocab", str(outs[0] / "vocab.txt"),
+                            "--captions", str(data / "captions.tsv"),
+                            "--features", str(data / "features.mrnf"),
+                            "--split", str(data / "split.tsv"), "--out", str(out))
             evals.append(out)
         for name in ("manifest.json", "metrics.json", "metrics.csv"):
             assert sha256(evals[0] / name) == sha256(evals[1] / name), name
@@ -241,48 +248,49 @@ class TestTrain:
 
 
     @pytest.mark.parametrize("min_count", [0, -3])
-    def test_min_count_below_one_is_refused(self, workspace, tmp_path, capsys, min_count):
+    def test_min_count_below_one_is_refused(self, workspace, tmp_path, min_count):
         with pytest.raises(ValueError, match="min_count"):
             build_vocabulary(["a b", "a c"], min_count=min_count)
         with pytest.raises(ValueError, match="min_count"):
             MRNNCaptioner(min_count=min_count, epochs=1).fit(np.eye(2), ["a b", "a c"])
         data = workspace["data"]
-        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
-                                "--features", str(data / "features.mrnf"),
-                                "--split", str(data / "split.tsv"),
-                                "--out", str(tmp_path / "o"), "--epochs", "1",
-                                "--min-count", str(min_count))
-        assert code == 1
-        assert err == f"error: min_count must be at least 1, got {min_count}\n"
+        proc = run_cli("train", "--captions", str(data / "captions.tsv"),
+                       "--features", str(data / "features.mrnf"),
+                       "--split", str(data / "split.tsv"),
+                       "--out", str(tmp_path / "o"), "--epochs", "1",
+                       "--min-count", str(min_count), check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: min_count must be at least 1, got {min_count}\n"
         assert not (tmp_path / "o").exists()
 
-    def test_repeated_feature_id_is_one_error_line(self, workspace, tmp_path, capsys):
+    def test_repeated_feature_id_is_one_error_line(self, workspace, tmp_path):
         data = workspace["data"]
         store = load_features(data / "features.mrnf")
         ids = store.ids()
         first_id = ids[0]
         write_mrnf(tmp_path / "dup.mrnf", [(i, store.get(i)) for i in ids + [first_id]],
                    store.feature_dim)
-        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
-                                "--features", str(tmp_path / "dup.mrnf"),
-                                "--split", str(data / "split.tsv"),
-                                "--out", str(tmp_path / "o"), "--epochs", "1")
-        assert code == 1 and err.count("\n") == 1
-        assert err.startswith("error: ") and f"duplicate image id {first_id!r}" in err
+        proc = run_cli("train", "--captions", str(data / "captions.tsv"),
+                       "--features", str(tmp_path / "dup.mrnf"),
+                       "--split", str(data / "split.tsv"),
+                       "--out", str(tmp_path / "o"), "--epochs", "1", check=False)
+        assert proc.returncode == 1 and proc.stderr.count("\n") == 1
+        assert (proc.stderr.startswith("error: ")
+                and f"duplicate image id {first_id!r}" in proc.stderr)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, name", [("--learning-rate", "learning_rate"),
                                             ("--lambda-reg", "lambda_reg")])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_rate_is_one_error_line(self, workspace, tmp_path, capsys, flag, name,
-                                               value):
+    def test_non_finite_rate_is_one_error_line(self, workspace, tmp_path, flag, name, value):
         # refused before training, not as a non-finite gradient norm later
         data = workspace["data"]
-        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
-                                "--features", str(data / "features.mrnf"),
-                                "--split", str(data / "split.tsv"),
-                                "--out", str(tmp_path / "o"), "--epochs", "1", flag, value)
-        assert (code, err) == (1, f"error: {name} must be a finite number >= 0\n")
+        proc = run_cli("train", "--captions", str(data / "captions.tsv"),
+                       "--features", str(data / "features.mrnf"),
+                       "--split", str(data / "split.tsv"),
+                       "--out", str(tmp_path / "o"), "--epochs", "1", flag, value, check=False)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: {name} must be a finite number >= 0\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("clip", ["-1", "0"])
@@ -313,7 +321,8 @@ class TestGenerate:
                        "--vocab", str(workspace["run"] / "vocab.txt"),
                        "--features", str(workspace["data"] / "features.mrnf"),
                        "--image-id", "imgXXXX", check=False)
-        assert proc.returncode != 0 and "imgXXXX" in proc.stderr
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: no feature vector for image id 'imgXXXX'\n"
 
     def test_max_len_one(self, workspace):
         proc = run_cli("generate", "--checkpoint", str(workspace["run"] / "checkpoint.mrnm"),
@@ -395,12 +404,13 @@ class TestEval:
             assert f"{direction} R@1" in proc.stdout
 
     def test_retrieval_rerun_identical_metrics(self, workspace, tmp_path):
+        # two processes with two string-hash seeds, as in TestTrain's rerun test
         blobs = []
-        for sub in ("r1", "r2"):
+        for hashseed, sub in ((1, "r1"), (2, "r2")):
             out = tmp_path / sub
-            run_cli("eval", "retrieval", "--direction", "i2t",
-                    *eval_args(workspace), "--subset", "train",
-                    "--norm-images", "5", "--out", str(out))
+            run_cli_process(hashseed, "eval", "retrieval", "--direction", "i2t",
+                            *eval_args(workspace), "--subset", "train",
+                            "--norm-images", "5", "--out", str(out))
             blobs.append([(out / name).read_bytes() for name in
                           ("metrics.json", "metrics.csv", "curve.csv", "manifest.json")])
         assert blobs[0] == blobs[1]
@@ -426,8 +436,8 @@ class TestEval:
 
     @pytest.mark.parametrize("direction, engine", [("t2i", "log2prob_matrix"),
                                                    ("i2t", "normalized_log2prob_matrix")])
-    def test_metrics_and_curve_from_one_scoring_pass(self, workspace, tmp_path, capsys,
-                                                     monkeypatch, direction, engine):
+    def test_metrics_and_curve_from_one_scoring_pass(self, workspace, tmp_path, monkeypatch,
+                                                     direction, engine):
         calls = []
         score = getattr(cli, engine)
 
@@ -435,10 +445,9 @@ class TestEval:
             calls.append(args)
             return score(*args, **kwargs)
         monkeypatch.setattr(cli, engine, counted)
-        code, out, _ = run_main(capsys, "eval", "retrieval", "--direction", direction,
-                                *eval_args(workspace), "--subset", "train",
-                                "--norm-images", "4", "--out", str(tmp_path))
-        assert code == 0 and len(calls) == 1
+        out = run_cli("eval", "retrieval", "--direction", direction, *eval_args(workspace),
+                      "--subset", "train", "--norm-images", "4", "--out", str(tmp_path)).stdout
+        assert len(calls) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "curve.csv", "manifest.json", "metrics.csv", "metrics.json"]
         # the R@K line, then one curve row per default fraction
@@ -448,13 +457,12 @@ class TestEval:
                                                   ("i2t", ["--shortlist", "3"])],
                              ids=["t2i", "i2t", "i2t-shortlist"])
     def test_curve_matches_brute_force_on_the_ranked_scores(self, workspace, tmp_path,
-                                                            capsys, direction, extra):
+                                                            direction, extra):
         fractions = [0.07, 0.1, 0.25, 0.5, 1.0]
         argv = ["eval", "retrieval", "--direction", direction, *eval_args(workspace),
                 "--subset", "train", "--norm-images", "4", *extra,
                 "--fractions", ",".join(map(repr, fractions)), "--out", str(tmp_path)]
-        code, out, _ = run_main(capsys, *argv)
-        assert code == 0
+        out = run_cli(*argv).stdout
         # the score matrix R@K ranks, masked by the shortlist where one is given
         args = build_parser().parse_args(argv)
         params, _, subset, store, dataset = cli._load_eval_inputs(args)
@@ -475,11 +483,11 @@ class TestEval:
             "fraction,mean_matches", *rows]
         assert out.splitlines()[1:] == rows
 
-    def test_eval_curve_is_gone(self, workspace, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(["eval", "curve", "--direction", "t2i", *eval_args(workspace)])
-        assert exc_info.value.code == 2
-        assert "invalid choice: 'curve'" in capsys.readouterr().err
+    def test_eval_curve_is_gone(self, workspace):
+        proc = run_cli("eval", "curve", "--direction", "t2i", *eval_args(workspace),
+                       check=False)
+        assert proc.returncode == 2
+        assert "invalid choice: 'curve'" in proc.stderr
 
     def test_t2i_ranks_by_log2p_past_perplexity_overflow(self, workspace, tmp_path):
         # a 3000-nat unknown-word bias puts every perplexity past 2 ** 1024,
@@ -508,33 +516,39 @@ class TestEval:
 
     @pytest.mark.parametrize("direction", ["t2i", "i2t"])
     @pytest.mark.parametrize("fractions", ["", "0"], ids=["empty", "zero"])
-    def test_bad_fractions_are_refused_before_scoring(self, workspace, capsys, monkeypatch,
+    def test_bad_fractions_are_refused_before_scoring(self, workspace, monkeypatch,
                                                       fractions, direction):
         def no_scoring(*args, **kwargs):
             raise AssertionError("pairs were scored")
         monkeypatch.setattr(cli, "log2prob_matrix", no_scoring)
         monkeypatch.setattr(cli, "normalized_log2prob_matrix", no_scoring)
-        code, out, err = run_main(capsys, "eval", "retrieval", "--direction", direction,
-                                  *eval_args(workspace), "--subset", "train",
-                                  "--fractions", fractions)
-        assert (code, out) == (1, "")
-        lines = err.splitlines()
+        proc = run_cli("eval", "retrieval", "--direction", direction, *eval_args(workspace),
+                       "--subset", "train", "--fractions", fractions, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "fraction" in lines[0]
 
-    def test_t2i_shortlist_is_refused_before_loading(self, workspace, tmp_path, capsys):
+    def test_non_numeric_fraction_names_the_flag(self, workspace):
+        proc = run_cli("eval", "retrieval", "--direction", "t2i", *eval_args(workspace),
+                       "--subset", "train", "--fractions", "0.1,abc", check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: --fractions takes comma-separated numbers, got '0.1,abc'\n"
+
+    def test_t2i_shortlist_is_refused_before_loading(self, workspace, tmp_path):
         # the input paths do not exist: the flag is refused before any is read
         missing = [str(tmp_path / name) for name in ("m", "v", "c", "f")]
         args = ["--checkpoint", missing[0], "--vocab", missing[1],
                 "--captions", missing[2], "--features", missing[3]]
-        code, out, err = run_main(capsys, "eval", "retrieval", "--direction", "t2i",
-                                  *args, "--shortlist", "2", "--out", str(tmp_path / "o"))
-        assert (code, out) == (1, "")
-        lines = err.splitlines()
+        proc = run_cli("eval", "retrieval", "--direction", "t2i", *args, "--shortlist", "2",
+                       "--out", str(tmp_path / "o"), check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "--shortlist" in lines[0]
         assert not (tmp_path / "o").exists()
-        code, _, err = run_main(capsys, "eval", "retrieval", "--direction", "t2i",
-                                *eval_args(workspace), "--subset", "train", "--shortlist", "2")
-        assert code == 1 and err.count("\n") == 1 and "--shortlist" in err
+        proc = run_cli("eval", "retrieval", "--direction", "t2i", *eval_args(workspace),
+                       "--subset", "train", "--shortlist", "2", check=False)
+        assert (proc.returncode == 1 and proc.stderr.count("\n") == 1
+                and "--shortlist" in proc.stderr)
 
     def test_curve_i2t_direction(self, workspace):
         proc = run_cli("eval", "retrieval", "--direction", "i2t",
@@ -599,7 +613,7 @@ class TestEval:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "big.mrnf: truncated" in proc.stderr
 
-    def test_mis_sized_features_give_one_error_line(self, workspace, tmp_path, capsys):
+    def test_mis_sized_features_give_one_error_line(self, workspace, tmp_path):
         # every command that reads the image reads it through model.image_term
         store = load_features(workspace["data"] / "features.mrnf")
         d_i = store.feature_dim
@@ -612,7 +626,8 @@ class TestEval:
                     ["eval", "retrieval", *args, "--direction", "t2i"],
                     ["eval", "retrieval", *args, "--direction", "i2t"]]
         for command in commands:
-            assert run_main(capsys, *command) == (
+            proc = run_cli(*command, check=False)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
                 1, "", f"error: image feature has shape ({d_i + 1},), expected ({d_i},)\n"), command
 
 
@@ -630,26 +645,24 @@ def baseline_run(workspace, tmp_path_factory):
 class TestBaselineVariant:
     """The engine, not the CLI, decides what the image-free baseline can do."""
 
-    def test_generate_ignores_the_image(self, baseline_run, capsys):
-        code, out, _ = run_main(
-            capsys, "generate", "--checkpoint", str(baseline_run["run"] / "checkpoint.mrnm"),
-            "--vocab", str(baseline_run["run"] / "vocab.txt"),
-            "--features", str(baseline_run["data"] / "features.mrnf"),
-            "--image-id", "img0000", "--image-id", "img0005")
+    def test_generate_ignores_the_image(self, baseline_run):
+        out = run_cli("generate", "--checkpoint", str(baseline_run["run"] / "checkpoint.mrnm"),
+                      "--vocab", str(baseline_run["run"] / "vocab.txt"),
+                      "--features", str(baseline_run["data"] / "features.mrnf"),
+                      "--image-id", "img0000", "--image-id", "img0005").stdout
         captions = [line.split("\t", 1)[1] for line in out.splitlines()]
-        assert code == 0 and len(captions) == 2 and captions[0] == captions[1]
+        assert len(captions) == 2 and captions[0] == captions[1]
 
     @pytest.mark.parametrize("command", ["retrieval"])
     @pytest.mark.parametrize("direction", ["t2i", "i2t"])
-    def test_retrieval_is_one_error_line(self, baseline_run, capsys, command, direction):
-        code, out, err = run_main(capsys, "eval", command,
-                                  *eval_args(baseline_run, "--subset", "all"),
-                                  "--direction", direction)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "mrnn variant" in err
+    def test_retrieval_is_one_error_line(self, baseline_run, command, direction):
+        proc = run_cli("eval", command, *eval_args(baseline_run, "--subset", "all"),
+                       "--direction", direction, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "mrnn variant" in proc.stderr
 
-    def test_elman_checkpoint_is_one_error_line(self, baseline_run, tmp_path, capsys):
+    def test_elman_checkpoint_is_one_error_line(self, baseline_run, tmp_path):
         # the arrays U, b_r, V, b_out of the Elman network that the baseline
         # variant used to be, under a baseline header with the default dims
         m, d_r, d_i = load_vocab(baseline_run["run"] / "vocab.txt").size, 8, 8
@@ -662,9 +675,9 @@ class TestBaselineVariant:
         (tmp_path / "elman.mrnm").write_bytes(blob)
         args = eval_args(baseline_run, "--subset", "all")
         args[1] = str(tmp_path / "elman.mrnm")
-        code, out, err = run_main(capsys, "eval", "ppl", *args)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: parameter names ") and err.count("\n") == 1
+        proc = run_cli("eval", "ppl", *args, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: parameter names ") and proc.stderr.count("\n") == 1
 
 
 class TestCountFlags:
@@ -679,7 +692,7 @@ class TestCountFlags:
         ("nearest", "-k", "0"),
         ("gradcheck", "--samples", "0"),
     ])
-    def test_below_one_is_one_error_line(self, workspace, capsys, command, flag, value):
+    def test_below_one_is_one_error_line(self, workspace, command, flag, value):
         if command == "nearest":
             args = ["nearest", "--checkpoint", str(workspace["run"] / "checkpoint.mrnm"),
                     "--vocab", str(workspace["run"] / "vocab.txt"), "--token", "the"]
@@ -688,9 +701,9 @@ class TestCountFlags:
         else:
             args = [*command.split(), *eval_args(workspace, "--subset", "all"),
                     "--direction", "i2t"]
-        code, out, err = run_main(capsys, *args, flag, value)
-        assert (code, out) == (1, "")
-        assert err == f"error: {flag} must be at least 1, got {value}\n"
+        proc = run_cli(*args, flag, value, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {flag} must be at least 1, got {value}\n"
 
 
 # Every defaulted field of the two configs is a training setting.
@@ -756,8 +769,7 @@ class TestTrainSettings:
             assert params.get(field.name, field.default) == field.default, field.name
 
     @pytest.mark.parametrize("spelling", ["flag", "config"])
-    def test_clip_norm_none_trains_unclipped(self, workspace, tmp_path, monkeypatch, capsys,
-                                             spelling):
+    def test_clip_norm_none_trains_unclipped(self, workspace, tmp_path, monkeypatch, spelling):
         seen = []
 
         def spy(config, *args):
@@ -769,12 +781,10 @@ class TestTrainSettings:
         extra = (["--clip-norm", "none"] if spelling == "flag"
                  else ["--config", str(tmp_path / "run.cfg")])
         data, out = workspace["data"], tmp_path / "out"
-        code, _, _ = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
-                              "--features", str(data / "features.mrnf"),
-                              "--split", str(data / "split.tsv"), "--out", str(out),
-                              "--epochs", "1", "--d-e1", "4", "--d-e2", "4", "--d-r", "4",
-                              "--d-m", "4", *extra)
-        assert code == 0
+        run_cli("train", "--captions", str(data / "captions.tsv"),
+                "--features", str(data / "features.mrnf"),
+                "--split", str(data / "split.tsv"), "--out", str(out),
+                "--epochs", "1", "--d-e1", "4", "--d-e2", "4", "--d-r", "4", "--d-m", "4", *extra)
         assert [config.clip_norm for config in seen] == [None]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["settings"]["clip_norm"] == "none"
@@ -784,14 +794,13 @@ class TestTrainSettings:
         ("--d-r", "1.5", "d_r = '1.5' is not a valid int"),
         ("--clip-norm", "off", "clip_norm = 'off' is not a valid float"),
     ])
-    def test_bad_value_is_one_error_line(self, workspace, tmp_path, capsys, flag, value,
-                                         message):
+    def test_bad_value_is_one_error_line(self, workspace, tmp_path, flag, value, message):
         data = workspace["data"]
-        code, _, err = run_main(capsys, "train", "--captions", str(data / "captions.tsv"),
-                                "--features", str(data / "features.mrnf"),
-                                "--split", str(data / "split.tsv"),
-                                "--out", str(tmp_path / "o"), flag, value)
-        assert (code, err) == (1, f"error: {message}\n")
+        proc = run_cli("train", "--captions", str(data / "captions.tsv"),
+                       "--features", str(data / "features.mrnf"),
+                       "--split", str(data / "split.tsv"),
+                       "--out", str(tmp_path / "o"), flag, value, check=False)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -828,11 +837,10 @@ class TestManifest:
 
     @pytest.mark.parametrize("command", ["synth", "train", "eval ppl", "eval bleu",
                                          "eval retrieval"])
-    def test_records_every_option_input_and_output(self, workspace, tmp_path, capsys, command):
+    def test_records_every_option_input_and_output(self, workspace, tmp_path, command):
         argv = self.command_args(workspace, command, tmp_path)
         out = tmp_path / "out"
-        code, _, _ = run_main(capsys, *argv, "--out", str(out))
-        assert code == 0
+        run_cli(*argv, "--out", str(out))
         manifest = json.loads((out / "manifest.json").read_text())
         args = build_parser().parse_args([*argv, "--out", str(out)])
         assert set(manifest["settings"]) == option_names(*command.split())
@@ -850,14 +858,13 @@ class TestManifest:
         assert sorted([*manifest["outputs"].values(), "manifest.json"]) == \
                sorted(p.name for p in out.iterdir())
 
-    def test_bleu_max_len_is_recorded(self, workspace, tmp_path, capsys):
+    def test_bleu_max_len_is_recorded(self, workspace, tmp_path):
         # without length matching --max-len changes the captions, so the scores
         settings, metrics = [], []
         for max_len in ("2", "20"):
             out = tmp_path / max_len
-            code, _, _ = run_main(capsys, "eval", "bleu", *eval_args(workspace),
-                                  "--no-length-match", "--max-len", max_len, "--out", str(out))
-            assert code == 0
+            run_cli("eval", "bleu", *eval_args(workspace), "--no-length-match",
+                    "--max-len", max_len, "--out", str(out))
             settings.append(json.loads((out / "manifest.json").read_text())["settings"])
             metrics.append((out / "metrics.json").read_text())
         assert metrics[0] != metrics[1]
@@ -936,7 +943,7 @@ class TestRetrievalScores:
         assert np.isfinite(scores).tolist() == own
         assert relevant.tolist() == own
 
-    def test_i2t_shortlist_keeps_the_own_image_of_a_twin(self, tmp_path, capsys):
+    def test_i2t_shortlist_keeps_the_own_image_of_a_twin(self, tmp_path):
         # "a" and "b" have equal features, so "a" fills the one-image
         # shortlist of "b" on the lower-row tie unless "b" keeps its own place
         vocab = build_vocabulary(["sand waves", "summit ridge", "pines"], min_count=1)
@@ -947,15 +954,14 @@ class TestRetrievalScores:
                       tmp_path / "features.mrnf")
         cfg = ModelConfig(vocab_size=vocab.size, d_i=2, d_e1=3, d_e2=3, d_r=4, d_m=5)
         save_checkpoint(ModelParams.initialize(cfg, Rng(0)), tmp_path / "checkpoint.mrnm")
-        code, out, err = run_main(
-            capsys, "eval", "retrieval", "--direction", "i2t", "--shortlist", "1",
-            "--norm-images", "3", "--subset", "all",
-            "--checkpoint", str(tmp_path / "checkpoint.mrnm"),
-            "--vocab", str(tmp_path / "vocab.txt"),
-            "--captions", str(tmp_path / "captions.tsv"),
-            "--features", str(tmp_path / "features.mrnf"))
-        assert (code, err) == (0, "")
-        assert out.startswith("i2t R@1 100.0 ")
+        proc = run_cli("eval", "retrieval", "--direction", "i2t", "--shortlist", "1",
+                       "--norm-images", "3", "--subset", "all",
+                       "--checkpoint", str(tmp_path / "checkpoint.mrnm"),
+                       "--vocab", str(tmp_path / "vocab.txt"),
+                       "--captions", str(tmp_path / "captions.tsv"),
+                       "--features", str(tmp_path / "features.mrnf"))
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("i2t R@1 100.0 ")
 
 
 class TestGradcheckCli:
@@ -985,13 +991,13 @@ class TestGradcheckCli:
         assert tuple(flags["--variant"]) == VARIANTS
 
     @pytest.mark.parametrize("variant,block", [("mrnn", "XYZ"), ("baseline", "V_I")])
-    def test_unknown_corrupt_block_is_one_error_line(self, capsys, monkeypatch, variant, block):
+    def test_unknown_corrupt_block_is_one_error_line(self, monkeypatch, variant, block):
         def no_work(**kwargs):
             raise AssertionError("gradient_check ran")
         monkeypatch.setattr(cli, "gradient_check", no_work)
-        code, out, err = run_main(capsys, "gradcheck", "--variant", variant, "--corrupt", block)
-        assert code == 1 and out == ""
-        lines = err.splitlines()
+        proc = run_cli("gradcheck", "--variant", variant, "--corrupt", block, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and repr(block) in lines[0]
         blocks = ModelConfig(variant=variant, vocab_size=5, d_i=2).param_shapes()
         assert lines[0].endswith("valid blocks: " + ", ".join(blocks))
@@ -1046,4 +1052,23 @@ class TestNearest:
         proc = run_cli("nearest", "--checkpoint", str(workspace["run"] / "checkpoint.mrnm"),
                        "--vocab", str(workspace["run"] / "vocab.txt"),
                        "--token", "zzzz", check=False)
-        assert proc.returncode != 0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: token 'zzzz' not in vocabulary\n"
+
+
+class TestEntryPoint:
+    def test_python_m_mrnn_exit_codes(self, workspace):
+        # the one test of `python -m mrnn` itself, which every other test runs
+        # as cli.main in-process: the interpreter's exit code is main()'s
+        # return value, or argparse's 2 on a usage error
+        model = ["--checkpoint", str(workspace["run"] / "checkpoint.mrnm"),
+                 "--vocab", str(workspace["run"] / "vocab.txt")]
+        proc = run_cli_process(0, "nearest", *model, "--token", "the", "-k", "2")
+        assert (proc.returncode, proc.stderr, len(proc.stdout.splitlines())) == (0, "", 2)
+        proc = run_cli_process(0, "nearest", *model, "--token", "zzzz", check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: token 'zzzz' not in vocabulary\n")
+        proc = run_cli_process(0, "nearest", *model, check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(
+            "mrnn nearest: error: the following arguments are required: --token\n")

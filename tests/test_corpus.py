@@ -250,6 +250,19 @@ class TestCaptionAndSplitFiles:
         with pytest.raises(ValueError):
             load_split_map(tmp_path / "s.tsv")
 
+    @pytest.mark.parametrize("load, blob, reason", [
+        (load_captions, b"im0\ta man\nim1\ta caf\xe9 by the sea\n", "invalid continuation byte"),
+        (load_split_map, b"im0\ttrain\nim\xff1\ttest\n", "invalid start byte"),
+        (load_vocab, b"##START##\n##END##\n##UNK##\ncaf\xe9\n", "invalid continuation byte"),
+    ], ids=["captions", "split", "vocab"])
+    def test_non_utf8_file_is_a_value_error_that_names_it(self, tmp_path, load, blob, reason):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as exc_info:
+            load(path)
+        assert not isinstance(exc_info.value, UnicodeError)
+        assert str(exc_info.value) == f"{path}: not UTF-8 text ({reason})"
+
     def test_build_dataset_partitions(self):
         vocab = build_vocabulary(["a b", "c d"])
         pairs = [("i0", "a b"), ("i1", "c d"), ("i0", "a b b")]

@@ -7,8 +7,6 @@ file must exit 0, or exit 1 with exactly one ``error:`` line.  An exception
 of any other type, such as ``MemoryError`` or ``struct.error``, fails the test.
 """
 
-import contextlib
-import io
 import math
 import struct
 
@@ -17,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from mrnn import cli  # noqa: E402
+from helpers import run_cli  # noqa: E402
 from mrnn.corpus import ImageFeatureStore, load_features, save_features_tsv  # noqa: E402
 from mrnn.model import ModelParams, load_checkpoint  # noqa: E402
 
@@ -27,26 +25,17 @@ FUZZ = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 FUZZ_CLI = settings(FUZZ, max_examples=25)
 
 
-def quiet_main(argv):
-    """``cli.main`` in this process: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """A tiny corpus and checkpoint, plus a scratch path per file kind."""
     root = tmp_path_factory.mktemp("fuzz")
     data, run = root / "data", root / "run"
-    assert quiet_main(["synth", "--out", str(data), "--images", "6", "--topics", "2",
-                       "--seed", "2"])[0] == 0
-    assert quiet_main(["train", "--captions", str(data / "captions.tsv"),
-                       "--features", str(data / "features.mrnf"),
-                       "--split", str(data / "split.tsv"), "--out", str(run),
-                       "--epochs", "1", "--d-e1", "4", "--d-e2", "4", "--d-r", "4",
-                       "--d-m", "4", "--seed", "1"])[0] == 0
+    run_cli("synth", "--out", str(data), "--images", "6", "--topics", "2", "--seed", "2")
+    run_cli("train", "--captions", str(data / "captions.tsv"),
+            "--features", str(data / "features.mrnf"),
+            "--split", str(data / "split.tsv"), "--out", str(run),
+            "--epochs", "1", "--d-e1", "4", "--d-e2", "4", "--d-r", "4",
+            "--d-m", "4", "--seed", "1")
     save_features_tsv(load_features(data / "features.mrnf"), data / "features.tsv")
     return {"checkpoint": run / "checkpoint.mrnm", "vocab": run / "vocab.txt",
             "captions": data / "captions.tsv", "split": data / "split.tsv",
@@ -136,13 +125,12 @@ def test_eval_ppl_on_a_corrupt_file_succeeds_or_is_one_error_line(files, kind, d
     inputs = {"checkpoint": files["checkpoint"], "features": files["mrnf"]}
     inputs["features" if kind != "checkpoint" else "checkpoint"] = write_corrupt(
         files, kind, data)
-    code, out, err = quiet_main(["eval", "ppl", "--checkpoint", str(inputs["checkpoint"]),
-                                 "--vocab", str(files["vocab"]),
-                                 "--captions", str(files["captions"]),
-                                 "--features", str(inputs["features"]),
-                                 "--split", str(files["split"]), "--subset", "all"])
-    if code == 0:
-        assert out.startswith("ppl ") and err == ""
+    proc = run_cli("eval", "ppl", "--checkpoint", inputs["checkpoint"],
+                   "--vocab", files["vocab"], "--captions", files["captions"],
+                   "--features", inputs["features"], "--split", files["split"],
+                   "--subset", "all", check=False)
+    if proc.returncode == 0:
+        assert proc.stdout.startswith("ppl ") and proc.stderr == ""
     else:
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

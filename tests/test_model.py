@@ -459,6 +459,15 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(tmp_path / "a.mrnm"), tmp_path / "b.mrnm")
         assert (tmp_path / "a.mrnm").read_bytes() == (tmp_path / "b.mrnm").read_bytes()
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_float64_arrays_are_views_of_one_block(self, tmp_path, variant):
+        # the loader reads every payload into one buffer, not one per array
+        save_checkpoint(tiny_params(variant=variant), tmp_path / "m.mrnm")
+        loaded = load_checkpoint(tmp_path / "m.mrnm")
+        block = loaded[loaded.names()[0]].base
+        assert block is not None
+        assert all(loaded[name].base is block for name in loaded.names())
+
     def test_float32_mode_preserved(self, tmp_path):
         params = ModelParams.initialize(tiny_config(), Rng(1), dtype=np.float32)
         save_checkpoint(params, tmp_path / "m.mrnm")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import sentence_backward
+from helpers import run_cli, sentence_backward
 from mrnn import cli
 from mrnn.corpus import (CaptionedExample, ImageFeatureStore, build_vocabulary,
                          load_captions, load_features, save_vocab)
@@ -23,6 +23,7 @@ from mrnn.model import LN2, ModelConfig, ModelParams, save_checkpoint
 from mrnn.numerics import Rng
 from mrnn.training import batch_gradient, bits_per_word, sentence_gradient
 
+TESTS_DIR = Path(__file__).resolve().parent
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "mrnn"
 README_PATH = Path(__file__).resolve().parents[1] / "README.md"
@@ -182,12 +183,12 @@ def test_per_sentence_leftovers_have_no_package_caller():
 
 
 @pytest.mark.parametrize("size", [1, 3])
-def test_shortlist_counter_is_the_kept_fraction(tracer, tmp_path, capsys, size):
+def test_shortlist_counter_is_the_kept_fraction(tracer, tmp_path, size):
     # every image has two captions, so an i2t shortlist of K of the Q images
     # keeps the scores of K * 2 of the Q * 2 captions in each query row
     data = tmp_path / "data"
-    assert cli.main(["synth", "--out", str(data), "--images", "8", "--topics", "2",
-                     "--captions-per-image", "2", "--seed", "6"]) == 0
+    run_cli("synth", "--out", str(data), "--images", "8", "--topics", "2",
+            "--captions-per-image", "2", "--seed", "6")
     pairs = load_captions(data / "captions.tsv")
     store = load_features(data / "features.mrnf")
     vocab = build_vocabulary([text for _, text in pairs], min_count=1)
@@ -201,8 +202,7 @@ def test_shortlist_counter_is_the_kept_fraction(tracer, tmp_path, capsys, size):
             "--captions", str(data / "captions.tsv"),
             "--features", str(data / "features.mrnf"), "--norm-images", "4"]
     with tracer.Tracer() as t:
-        assert cli.main(argv) == 0
-    capsys.readouterr()
+        run_cli(*argv)
     m = t.layer_metrics()
     assert m["evaluation.shortlist.calls"] == 1
     assert m["evaluation.retrieval_eval.calls"] == 1
@@ -228,3 +228,37 @@ def test_readme_names_every_subcommand():
         name, *subs = item.split()
         listed += [f"{name} {sub}" for sub in subs[0].split("|")] if subs else [name]
     assert sorted(listed) == sorted(parser_commands(cli.build_parser()))
+
+
+def calls_by_function(path, match):
+    """``module::function`` or ``module::Class::method`` for each call in the
+    module at ``path`` whose callee ``match`` accepts."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    owners += [(f"{cls.name}::{node.name}", node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)]
+    return [f"{path.stem}::{name}" for name, func in owners for node in ast.walk(func)
+            if isinstance(node, ast.Call) and match(node.func)]
+
+
+# the subprocess functions that start a process
+STARTERS = ("run", "Popen", "call", "check_call", "check_output")
+
+
+def test_one_subprocess_call_site_and_four_tests_that_start_processes():
+    # tests run the command line in-process through helpers.run_cli; only the
+    # entry-point test and the cross-run determinism tests need new processes
+    sites, starters = [], set()
+    for path in sorted(TESTS_DIR.glob("*.py")):
+        sites += calls_by_function(path, lambda f: getattr(f, "attr", None) in STARTERS
+                                   and getattr(f.value, "id", None) == "subprocess")
+        starters.update(calls_by_function(path, lambda f: getattr(f, "id", None)
+                                          == "run_cli_process"))
+    assert sites == ["helpers::run_cli_process"], sites
+    assert starters == {
+        "test_acceptance::test_criterion_7_determinism",
+        "test_cli::TestTrain::test_rerun_identical_checkpoint_and_manifest",
+        "test_cli::TestEval::test_retrieval_rerun_identical_metrics",
+        "test_cli::TestEntryPoint::test_python_m_mrnn_exit_codes",
+    }

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, mean_sentence_gradient, numeric_sentence_gradient,
-                     randomize_biases, sentence_forward, sentence_log2prob_oracle)
+                     randomize_biases, run_cli, sentence_forward, sentence_log2prob_oracle)
 from mrnn import cli, training
 from mrnn.corpus import (START_INDEX, CaptionedExample, DatasetSplit, ImageFeatureStore,
                          SynthSpec, generate_synthetic_corpus)
@@ -147,6 +147,15 @@ class TestSgdStep:
         assert applied <= clip + 1e-9
         assert grads.global_norm() <= clip + 1e-9
 
+    def test_clips_just_above_the_threshold(self):
+        # 0.5% above clip_norm is above it: no margin lets the step through
+        cfg, _, _ = uniform_dataset()
+        params = ModelParams.initialize(cfg, Rng(2))
+        grads = ModelParams.initialize(cfg, Rng(3))
+        clip = grads.global_norm() / 1.005
+        assert apply_sgd_step(params, grads, 0.1, 0.0, clip) == clip
+        assert grads.global_norm() == pytest.approx(clip, rel=1e-12)
+
     def test_no_clip_when_under_threshold(self):
         cfg, _, _ = uniform_dataset()
         params = ModelParams.initialize(cfg, Rng(2))
@@ -272,24 +281,21 @@ class TestTrain:
         evaluated = [r.epoch for r in report.rows if r.val_ppl is not None]
         assert evaluated == [2, 4, 5]  # every other epoch plus the final one
 
-    def test_report_csv_format(self, tmp_path, capsys, monkeypatch):
+    def test_report_csv_format(self, tmp_path, monkeypatch):
         # `mrnn train` writes the report's rows: each value its repr, and the
         # wall-clock columns in timing.csv
         data, run = tmp_path / "data", tmp_path / "run"
-        assert cli.main(["synth", "--out", str(data), "--images", "4", "--val-frac", "0",
-                         "--seed", "1"]) == 0
+        run_cli("synth", "--out", str(data), "--images", "4", "--val-frac", "0", "--seed", "1")
         seen = []
 
         def spy(*args):
             seen.append(train(*args))
             return seen[-1]
         monkeypatch.setattr(cli, "train", spy)
-        assert cli.main(["train", "--captions", str(data / "captions.tsv"),
-                         "--features", str(data / "features.mrnf"),
-                         "--split", str(data / "split.tsv"), "--out", str(run),
-                         "--epochs", "2", "--d-e1", "4", "--d-e2", "4", "--d-r", "4",
-                         "--d-m", "4"]) == 0
-        capsys.readouterr()
+        run_cli("train", "--captions", str(data / "captions.tsv"),
+                "--features", str(data / "features.mrnf"),
+                "--split", str(data / "split.tsv"), "--out", str(run),
+                "--epochs", "2", "--d-e1", "4", "--d-e2", "4", "--d-r", "4", "--d-m", "4")
         rows = seen[0][1].rows
         assert (run / "train_report.csv").read_text() == "".join(
             ["epoch,cost,val_ppl,grad_norm_mean,grad_norm_max,clip_frac\n"]
