@@ -13,16 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, Vocabulary
-from .model import (ModelParams, forward_sentence, forward_step, image_term,
-                    sentence_layers, target_log2prob)
+from .model import (ContextTrie, ModelParams, forward_sentence, forward_step, frame,
+                    image_term, multimodal_base, target_log2prob, word_layers)
 from .numerics import Rng, scaled_tanh
 from .training import perplexity
 
-# Bound on the elements of one pack's (P, max(d_m, V)) activations, and of
-# one image chunk's (images, P, max(d_m, V)), in log2prob_matrix, P being
-# the pack's packed rows.  2**15 (256 KB at float64) held retrieval peak
-# memory within ~1 MB of scoring pair by pair; 2**17 cost 4.6 MB more, and
-# packing every sentence at once 4.6 MB more too.
+# Bound on the elements of one node block's (B, max(d_m, V)) activations,
+# and of one image chunk's (images, B, max(d_m, V)), in log2prob_matrix, B
+# being the block's trie nodes; a block of one node may exceed it.  2**15
+# (256 KB at float64) held retrieval peak memory within ~1 MB of scoring
+# pair by pair; 2**17 cost 4.6 MB more.
 CHUNK_ELEMENTS = 1 << 15
 
 
@@ -119,31 +119,40 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
     """log2 P(sentence s | image n) for every sentence and image, shape (S, N).
 
     The image enters the model only at the multimodal layer and only
-    linearly (``V_I . I``), so the embedding and recurrent states of a
-    sentence are the same for every image.  The distinct sentences go
-    through ``sentence_layers`` in packs, as many per pack as keep its
-    activations within ``CHUNK_ELEMENTS``, and each pack scores the images
-    in chunks of at most ``CHUNK_ELEMENTS`` activations.  A repeated
-    sentence gets a copy of its first row, so repeats tie exactly.  Agrees
-    with ``sentence_log2prob`` to rounding.
+    linearly (``V_I . I``), so an output row depends only on its context
+    (the words consumed so far) and the image.  The sentences' contexts
+    merge into one ``ContextTrie``, whose nodes go through the layers below
+    the image once; each (node, image) output row is computed once, in
+    blocks of nodes by chunks of images within ``CHUNK_ELEMENTS``.  Each
+    sentence position picks its target's log probability from its node's
+    row, and each sentence sums its terms in time order, so an exact repeat
+    follows the same path and ties exactly.  Agrees with
+    ``sentence_log2prob`` to rounding.
     """
     img = image_term(params, image_matrix)
     if img is None:
         raise ValueError("image scoring needs the mrnn variant; the baseline ignores the image")
-    distinct = list(dict.fromkeys(map(tuple, token_lists)))
+    logs = np.zeros((len(token_lists), len(img)))
+    if not token_lists:
+        return logs
+    packing, inputs, targets = frame(params, token_lists)
+    trie = ContextTrie.of(packing, inputs)
+    e2, r = word_layers(params, trie.inputs, trie)[1:]
+    # positions in node order: a block's positions are one slice, and each
+    # sentence's stay in time order, since the nodes run depth by depth
+    order = np.argsort(trie.node, kind="stable")
+    node, targets, sent = trie.node[order], targets[order], packing.sent[order]
     width = max(params.config.d_m, params.config.vocab_size)
-    per_pack = max(1, CHUNK_ELEMENTS // (width * (max(map(len, distinct), default=0) + 1)))
-    logs = np.zeros((len(distinct), len(img)))
-    for s in range(0, len(distinct), per_pack):
-        trace, m_base = sentence_layers(params, distinct[s:s + per_pack])
-        chunk = max(1, CHUNK_ELEMENTS // (len(trace) * width))
+    block = max(1, CHUNK_ELEMENTS // width)
+    for a in range(0, len(trie.inputs), block):
+        lo, hi = np.searchsorted(node, [a, a + block])
+        m_base = multimodal_base(params, e2[a:a + block], r[a + 1:a + 1 + block])
+        chunk = max(1, CHUNK_ELEMENTS // (len(m_base) * width))
         for n in range(0, len(img), chunk):
             m = scaled_tanh(m_base + img[n:n + chunk, None, :])
-            logp = target_log2prob(params, m, trace.targets)
-            # packed rows run step by step, so each sentence sums in time order
-            np.add.at(logs[s:s + per_pack, n:n + chunk], trace.packing.sent, logp.T)
-    row = {tokens: i for i, tokens in enumerate(distinct)}
-    return logs[[row[tuple(tokens)] for tokens in token_lists]]
+            logp = target_log2prob(params, m, targets[lo:hi], node[lo:hi] - a)
+            np.add.at(logs[:, n:n + chunk], sent[lo:hi], logp.T)
+    return logs
 
 
 def normalized_log2prob_matrix(params: ModelParams, token_lists: list[list[int]],

@@ -179,6 +179,37 @@ class Packing:
         return np.concatenate(sequences).astype(np.intp, copy=False)[self.source]
 
 
+@dataclass(frozen=True)
+class ContextTrie:
+    """The distinct contexts of packed sentences: one node per input prefix.
+
+    A row's context is the words it has consumed, from the start sign on;
+    below the image a row depends on it alone, so sentences that share a
+    prefix share its nodes.  Nodes are laid out like ``Packing``'s rows,
+    depth by depth, with ``prev`` naming the state row of each node's parent.
+    """
+    offsets: np.ndarray  # (T_max + 1,) first node of each depth
+    prev: np.ndarray     # (n,) row of the states holding each node's parent state
+    inputs: np.ndarray   # (n,) the word each node consumes
+    node: np.ndarray     # (P,) each packed row's node
+
+    @classmethod
+    def of(cls, packing: Packing, inputs: np.ndarray) -> "ContextTrie":
+        """Merge the packed rows step by step on (parent node, input word)."""
+        words = int(inputs.max()) + 1
+        state = np.zeros(len(inputs) + 1, dtype=np.intp)  # packed state row -> node state row
+        offsets, keys = [0], []
+        for lo, hi in zip(packing.offsets[:-1], packing.offsets[1:]):
+            depth_keys, node = np.unique(state[packing.prev[lo:hi]] * words + inputs[lo:hi],
+                                         return_inverse=True)
+            state[lo + 1:hi + 1] = offsets[-1] + 1 + node
+            offsets.append(offsets[-1] + len(depth_keys))
+            keys.append(depth_keys)
+        keys = np.concatenate(keys)
+        return cls(offsets=np.array(offsets), prev=keys // words, inputs=keys % words,
+                   node=state[1:] - 1)
+
+
 @dataclass
 class ForwardTrace:
     """The forward activations of B sentences, packed time-major (``Packing``).
@@ -243,35 +274,63 @@ def forward_step(params: ModelParams, word_index: int, r_prev: np.ndarray,
     return y, r
 
 
-def sentence_layers(params: ModelParams, token_lists) -> tuple[ForwardTrace, np.ndarray]:
-    """The layers below the image over B sentences of content tokens, packed.
+def frame(params: ModelParams, token_lists) -> tuple[Packing, np.ndarray, np.ndarray]:
+    """(packing, inputs, targets) of B sentences of content tokens, packed.
 
     The start sign is input-only and the end sign target-only, so L tokens
-    unroll into L+1 prediction steps.  Returns a trace with ``inputs``,
-    ``targets``, ``r``, ``packing``, ``e1`` and ``e2`` filled, and the
-    image-free multimodal pre-activation ``e2 . V_w + r . V_r + b_m``,
-    (P, d_m): adding ``V_I . I`` gives it for image I.  Each layer is one
-    matrix product over the P rows; only the carry through the recurrent
-    weight is a loop over the steps, with one row per sentence still running.
+    unroll into L+1 prediction steps.  A word outside the vocabulary raises
+    IndexError.
     """
-    cfg = params.config
     packing = Packing.of([len(tokens) + 1 for tokens in token_lists])
     inputs = packing.pack([[START_INDEX, *tokens] for tokens in token_lists])
     targets = packing.pack([[*tokens, END_INDEX] for tokens in token_lists])
-    bad = inputs[(inputs < 0) | (inputs >= cfg.vocab_size)]
+    bad = inputs[(inputs < 0) | (inputs >= params.config.vocab_size)]
     if bad.size:
-        raise IndexError(f"word index {bad[0]} out of range for M={cfg.vocab_size}")
+        raise IndexError(f"word index {bad[0]} out of range for M={params.config.vocab_size}")
+    return packing, inputs, targets
+
+
+def word_layers(params: ModelParams, inputs: np.ndarray,
+                layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e1, e2, r): the embedding and recurrent layers over rows of input words.
+
+    ``layout`` is a ``Packing`` or a ``ContextTrie``: step t's rows are
+    ``offsets[t]:offsets[t+1]``, and ``prev`` names the row of ``r`` holding
+    each row's previous state; row 0 of ``r`` is the zero state and row i+1
+    the state after row i.  Each layer is one matrix product over the rows;
+    only the carry through the recurrent weight loops, over the steps.
+    """
     e1 = params["E1"][inputs]
     e2 = relu(e1 @ params["E2"].T + params["b_e2"])
-    drive = e2 @ params["W_in"].T + params["b_r"]
-    r = np.zeros((len(inputs) + 1, cfg.d_r), dtype=params.dtype)
-    offsets = packing.offsets.tolist()
-    state, u_t = np.zeros((offsets[1], cfg.d_r), dtype=params.dtype), params["U_r"].T
+    drive = e2 @ params["W_in"].T
+    drive += params["b_r"]
+    r = np.zeros((len(inputs) + 1, params.config.d_r), dtype=params.dtype)
+    offsets, u_t = layout.offsets.tolist(), params["U_r"].T
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        state = relu(state[:hi - lo] @ u_t + drive[lo:hi])
-        r[lo + 1:hi + 1] = state
-    m_base = e2 @ params["V_w"].T + r[1:] @ params["V_r"].T + params["b_m"]
-    return ForwardTrace(inputs, r, packing, targets, e1=e1, e2=e2), m_base
+        r[lo + 1:hi + 1] = relu(r[layout.prev[lo:hi]] @ u_t + drive[lo:hi])
+    return e1, e2, r
+
+
+def multimodal_base(params: ModelParams, e2: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The image-free multimodal pre-activation ``e2 . V_w + r . V_r + b_m``;
+    adding ``V_I . I`` gives it for image I."""
+    m_base = e2 @ params["V_w"].T
+    m_base += r @ params["V_r"].T
+    m_base += params["b_m"]
+    return m_base
+
+
+def sentence_layers(params: ModelParams, token_lists) -> tuple[ForwardTrace, np.ndarray]:
+    """The layers below the image over B sentences of content tokens, packed.
+
+    Returns a trace with ``inputs``, ``targets``, ``r``, ``packing``, ``e1``
+    and ``e2`` filled (``frame``, ``word_layers``), and the sentences'
+    ``multimodal_base``, (P, d_m).
+    """
+    packing, inputs, targets = frame(params, token_lists)
+    e1, e2, r = word_layers(params, inputs, packing)
+    trace = ForwardTrace(inputs, r, packing, targets, e1=e1, e2=e2)
+    return trace, multimodal_base(params, e2, r[1:])
 
 
 def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
@@ -279,15 +338,18 @@ def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
     return m @ params["W_out"].T + params["b_out"]
 
 
-def target_log2prob(params: ModelParams, m: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """log2 P(target) at each row of multimodal activations ``m``: the target's
-    logit minus the row's log-sum-exp, over ln 2, finite where softmax underflows.
-    ``m`` is (..., P, d_m) and ``targets`` (P,): leading axes (images) broadcast.
+def target_log2prob(params: ModelParams, m: np.ndarray, targets: np.ndarray,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+    """log2 P(target) for each target, read from row ``rows[i]`` of multimodal
+    activations ``m`` (row i by default; several targets may share a row): the
+    target's logit minus the row's log-sum-exp, over ln 2, finite where
+    softmax underflows.  ``m`` is (..., R, d_m), ``targets`` and ``rows``
+    (P,): leading axes (images) broadcast.
     """
+    rows = np.arange(len(targets)) if rows is None else rows
     logits = output_logits(params, m)
     logits -= logits.max(axis=-1, keepdims=True)
-    return (logits[..., np.arange(len(targets)), targets]
-            - np.log(np.exp(logits).sum(axis=-1))) / LN2
+    return (logits[..., rows, targets] - np.log(np.exp(logits).sum(axis=-1))[..., rows]) / LN2
 
 
 def forward_batch(params: ModelParams, token_lists: list[list[int]],
@@ -421,9 +483,13 @@ def load_checkpoint(path) -> ModelParams:
                           d_e1=d_e1, d_e2=d_e2, d_r=d_r, d_m=d_m)
         dtype = _CODE_DTYPES[dtype_code]
         (n_arrays,) = struct.unpack("<I", read_exact(fh, 4, "array count"))
-        # every payload goes into the next slice of one block, which the rest
-        # of the file bounds: one allocation in place of one per array
-        block = np.empty((os.fstat(fh.fileno()).st_size - fh.tell()) // 8, dtype="<f8")
+        # a float64 model's payloads go into the next slice of one block, which
+        # the rest of the file bounds: one allocation in place of one per
+        # array.  Any other dtype casts each payload from a buffer of its own,
+        # so no float64 copy of the whole model outlives the cast
+        one_block = dtype is np.float64
+        block = np.empty((os.fstat(fh.fileno()).st_size - fh.tell()) // 8 if one_block else 0,
+                         dtype="<f8")
         used = 0
         arrays = {}
         for _ in range(n_arrays):
@@ -433,9 +499,9 @@ def load_checkpoint(path) -> ModelParams:
             shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, name))
             size = math.prod(shape)
             check_length(fh, 8 * size, f"array {name} of shape {shape}")
-            payload = block[used:used + size].reshape(shape)
+            payload = block[used:used + size] if one_block else np.empty(size, dtype="<f8")
             used += size
-            arrays[name] = read_exact(fh, payload, name).astype(dtype, copy=False)
+            arrays[name] = read_exact(fh, payload.reshape(shape), name).astype(dtype, copy=False)
             if not np.isfinite(arrays[name]).all():
                 raise ValueError(f"{path}: array {name} has NaN or infinite entries")
         if fh.read(1):

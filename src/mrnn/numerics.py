@@ -95,8 +95,11 @@ def relu(v: np.ndarray) -> np.ndarray:
 
 
 def scaled_tanh(v: np.ndarray) -> np.ndarray:
-    """1.7159 * tanh(2x/3), the multimodal-layer activation."""
-    return SCALED_TANH_GAIN * np.tanh(SCALED_TANH_SLOPE * v)
+    """1.7159 * tanh(2x/3), the multimodal-layer activation, in one new array."""
+    out = SCALED_TANH_SLOPE * v
+    np.tanh(out, out=out)
+    out *= SCALED_TANH_GAIN
+    return out
 
 
 def scaled_tanh_grad_from_output(out: np.ndarray) -> np.ndarray:

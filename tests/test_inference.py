@@ -6,13 +6,13 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from helpers import randomize_biases, sentence_log2prob_oracle
-from mrnn import inference
+from mrnn import inference, model
 from mrnn.corpus import END_INDEX, build_vocabulary
 from mrnn.evaluation import retrieval_eval
 from mrnn.inference import (GenerationConfig, generate, log2_sum_exp2,
                             log2prob_matrix, marginal_log2prob,
                             normalized_log2prob_matrix, sentence_log2prob)
-from mrnn.model import ModelConfig, ModelParams, forward_step, image_term, sentence_layers
+from mrnn.model import ModelConfig, ModelParams, forward_step, image_term, output_logits
 from mrnn.numerics import Rng
 
 VOCAB = build_vocabulary(["sand waves shore surf", "summit ridge pines glacier"])
@@ -204,27 +204,62 @@ class TestLog2ProbMatrix:
             assert metrics.ranks == [int((got[:, q] > got[0, q]).sum()) + copies_before + 1
                                      for q in range(4)]
 
-    def test_packs_keep_activations_within_the_bound(self, monkeypatch):
-        # each distinct sentence is scored once, and every pack's (P, V)
-        # activations fit CHUNK_ELEMENTS unless the pack is one sentence
-        packs = []
+    @staticmethod
+    def spy_rows(monkeypatch):
+        """The (images, nodes) of every output-layer call in ``log2prob_matrix``."""
+        calls = []
 
-        def spy(params, token_lists):
-            trace, m_base = sentence_layers(params, token_lists)
-            packs.append((list(token_lists), len(trace)))
-            return trace, m_base
+        def spy(params, m):
+            calls.append(m.shape[:-1])
+            return output_logits(params, m)
 
-        monkeypatch.setattr(inference, "sentence_layers", spy)
+        monkeypatch.setattr(model, "output_logits", spy)
+        return calls
+
+    def test_blocks_keep_activations_within_the_bound(self, monkeypatch):
+        # every node block x image chunk fits CHUNK_ELEMENTS unless the block
+        # is one node; the widest layer is V
+        calls = self.spy_rows(monkeypatch)
         sentences = [[3, 4, 5, 6, 7], [4, 5, 6, 7, 8], [5, 6, 7, 8, 9], [3, 4, 5, 6, 7], [6, 7]]
-        # the longest sentence has 6 framed steps: packs of 1, 2 and 3
-        for chunk_elements in (2 * 5 * VOCAB.size, 2 * 6 * VOCAB.size, 3 * 6 * VOCAB.size):
+        for chunk_elements in (1, VOCAB.size, 3 * VOCAB.size, 7 * VOCAB.size, 1 << 15):
             monkeypatch.setattr(inference, "CHUNK_ELEMENTS", chunk_elements)
-            packs.clear()
-            log2prob_matrix(make_params(1), sentences, np.zeros((2, 3)))
-            scored = sorted(s for pack, _ in packs for s in pack)
-            assert scored == sorted(set(map(tuple, sentences)))
-            assert all(rows * VOCAB.size <= chunk_elements or len(pack) == 1
-                       for pack, rows in packs)
+            calls.clear()
+            log2prob_matrix(make_params(1), sentences, np.zeros((5, 3)))
+            assert calls and all(images * nodes * VOCAB.size <= chunk_elements or nodes == 1
+                                 for images, nodes in calls)
+
+    @pytest.mark.parametrize("chunk_elements", [1, 3 * VOCAB.size, None])
+    def test_scores_each_distinct_context_once(self, monkeypatch, chunk_elements):
+        # one output row per (context, image): the contexts are the root,
+        # (3), (3, 4), (3, 4, 5), (3, 4, 6), (3, 7) and (4)
+        if chunk_elements is not None:
+            monkeypatch.setattr(inference, "CHUNK_ELEMENTS", chunk_elements)
+        calls = self.spy_rows(monkeypatch)
+        sentences = [[3, 4, 5], [3, 4, 6], [3, 4], [3, 7], [4], [3, 4, 5]]
+        contexts = {tuple(s[:i]) for s in sentences for i in range(len(s) + 1)}
+        positions = sum(len(s) + 1 for s in sentences)
+        log2prob_matrix(make_params(1), sentences, np.zeros((4, 3)))
+        rows = sum(images * nodes for images, nodes in calls)
+        assert len(contexts) == 7 and rows == 7 * 4 < positions * 4
+
+    # one node per block (a bound of 1 and of the width V), two nodes by one
+    # image, and the default bound: one block, every image in one chunk
+    @pytest.mark.parametrize("chunk_elements", [1, VOCAB.size, 2 * VOCAB.size, None])
+    @pytest.mark.parametrize("sentences", [
+        pytest.param([[3, 4], [3, 4, 5]], id="prefix"),
+        pytest.param([[]], id="empty"),
+        pytest.param([[3, 4, 5], [4, 4, 5], [5, 4, 5]], id="first_word"),
+        pytest.param([[3, 4, 5], [6], [3, 4, 5], [3, 4], [], [3, 4, 5]], id="repeats"),
+    ])
+    def test_shared_contexts_match_the_oracle(self, monkeypatch, chunk_elements, sentences):
+        if chunk_elements is not None:
+            monkeypatch.setattr(inference, "CHUNK_ELEMENTS", chunk_elements)
+        params = randomize_biases(make_params(6), 6)
+        feats = Rng(106).uniform(-1, 1, 3 * 3).reshape(3, 3)
+        got = log2prob_matrix(params, sentences, feats)
+        np.testing.assert_allclose(got, self.oracle(params, sentences, feats), rtol=0, atol=1e-12)
+        for i, tokens in enumerate(sentences):
+            assert_array_equal(got[i], got[sentences.index(tokens)])
 
     def test_empty_inputs_give_empty_matrix(self):
         params = make_params(2)
@@ -235,10 +270,10 @@ class TestLog2ProbMatrix:
         params = make_params(3)
         with pytest.raises(ValueError, match=re.escape("image feature has shape (4,), expected (3,)")):
             log2prob_matrix(params, [[3]], np.zeros((2, 4)))
-        with pytest.raises(IndexError):
-            log2prob_matrix(params, [[VOCAB.size]], np.zeros((2, 3)))
-        with pytest.raises(IndexError):
-            log2prob_matrix(params, [[-1]], np.zeros((2, 3)))
+        for sentences, word in ([[VOCAB.size]], VOCAB.size), ([[3], [4, -1]], -1):
+            with pytest.raises(IndexError, match=re.escape(
+                    f"word index {word} out of range for M={VOCAB.size}")):
+                log2prob_matrix(params, sentences, np.zeros((2, 3)))
         baseline = ModelParams.initialize(
             ModelConfig(vocab_size=VOCAB.size, d_i=3, variant="baseline", d_r=6), Rng(0))
         with pytest.raises(ValueError, match="mrnn variant"):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradien
                      per_step_backward, randomize_biases, sentence_backward,
                      sentence_forward, sentence_inputs_targets)
 from mrnn.corpus import build_vocabulary
-from mrnn.model import (LN2, VARIANTS, ModelConfig, ModelParams, Packing, backward_batch,
-                        backward_sentence, forward_batch, forward_sentence,
-                        forward_step, image_term, load_checkpoint, nearest_words,
-                        output_logits, save_checkpoint, sentence_layers, target_log2prob)
+from mrnn.model import (LN2, VARIANTS, ContextTrie, ModelConfig, ModelParams, Packing,
+                        backward_batch, backward_sentence, forward_batch, forward_sentence,
+                        forward_step, frame, image_term, load_checkpoint, nearest_words,
+                        output_logits, save_checkpoint, sentence_layers, target_log2prob,
+                        word_layers)
 from mrnn.numerics import Rng, scaled_tanh, softmax
 
 
@@ -290,6 +292,41 @@ class TestPacking:
                                    np.array([30, 31, 32])]), [30, 10, 20, 31, 11, 32])
 
 
+class TestContextTrie:
+    # [3, 4] is a prefix of [3, 4, 5], [] is the root alone, [4] differs at
+    # the first word: five contexts in 10 packed rows
+    SENTENCES = [[3, 4], [3, 4, 5], [], [4]]
+
+    def test_layout(self):
+        packing, inputs, _ = frame(tiny_params(), self.SENTENCES)
+        trie = ContextTrie.of(packing, inputs)
+        # depth by depth: the root; (3) and (4); (3, 4); (3, 4, 5)
+        assert_array_equal(trie.offsets, [0, 1, 3, 4, 5])
+        assert_array_equal(trie.inputs, [0, 3, 4, 4, 5])
+        # row 0 of the states is the zero state; row i + 1 is node i's
+        assert_array_equal(trie.prev, [0, 1, 1, 2, 4])
+        # packed rows (longest first): [3, 4, 5], [3, 4], [4], []
+        assert_array_equal(packing.sent, [1, 0, 3, 2, 1, 0, 3, 1, 0, 1])
+        assert_array_equal(trie.node, [0, 0, 0, 0, 1, 1, 2, 3, 3, 4])
+
+    def test_one_sentence_is_its_own_path(self):
+        packing, inputs, _ = frame(tiny_params(), [[5, 5, 5]])
+        trie = ContextTrie.of(packing, inputs)
+        assert_array_equal(trie.node, np.arange(4))
+        assert_array_equal(trie.prev, packing.prev)
+        assert_array_equal(trie.inputs, inputs)
+
+    def test_node_states_match_the_packed_sentences(self):
+        # the recurrent loop reads r[prev] for both layouts
+        params = randomize_biases(tiny_params(seed=7), 7)
+        packing, inputs, _ = frame(params, self.SENTENCES)
+        trie = ContextTrie.of(packing, inputs)
+        _, e2, r = word_layers(params, trie.inputs, trie)
+        trace, _ = sentence_layers(params, self.SENTENCES)
+        assert_array_equal(e2[trie.node], trace.e2)
+        assert_allclose(r[1:][trie.node], trace.r[1:], rtol=0, atol=1e-15)
+
+
 class TestPackedBatch:
     @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
     def test_rows_match_one_sentence_passes(self, variant):
@@ -475,6 +512,25 @@ class TestCheckpoint:
         assert loaded.dtype == np.float32
         for name in params.names():
             assert_array_equal(loaded[name], params[name])
+
+    def test_float32_load_peaks_at_one_array_of_float64(self, tmp_path):
+        # a float32 model casts each f64 payload from a buffer of its own:
+        # the peak is the float32 arrays plus the largest payload, where one
+        # f64 block for the whole file would add every payload
+        config = ModelConfig(vocab_size=200, d_i=64, d_e1=64, d_e2=64, d_r=64, d_m=64)
+        params = ModelParams.initialize(config, Rng(2), dtype=np.float32)
+        save_checkpoint(params, tmp_path / "m.mrnm")
+        f32 = sum(a.nbytes for a in params.arrays.values())
+        largest = 2 * max(a.nbytes for a in params.arrays.values())
+        assert 2 * f32 > f32 + largest + 64 * 1024  # one f64 block alone exceeds the bound
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(tmp_path / "m.mrnm")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.dtype == np.float32
+        assert peak < f32 + largest + 64 * 1024
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.mrnm").write_bytes(b"NOPE" + b"\x00" * 40)
