@@ -440,12 +440,13 @@ def generate_synthetic_corpus(rng: Rng, n_images: int, spec: SynthSpec = SynthSp
             vec[spec.n_topics:] = rng.uniform(-0.5, 0.5, spec.noise_dim)
 
         name, nouns, adjs, verbs = _topic_bank(topic)
-        for _ in range(spec.captions_per_image):
-            noun = nouns[rng.randint(len(nouns))]
-            noun2 = nouns[rng.randint(len(nouns))]
-            text = _TEMPLATES[rng.randint(len(_TEMPLATES))].format(
-                adj=adjs[rng.randint(len(adjs))], noun=noun, noun2=noun2,
-                verb=verbs[rng.randint(len(verbs))], topic=name)
+        # each caption's noun, noun2, template, adj and verb, in that order
+        bounds = np.array([len(nouns), len(nouns), len(_TEMPLATES), len(adjs), len(verbs)],
+                          dtype=np.uint64)
+        picks = rng.next_u64_array(5 * spec.captions_per_image).reshape(-1, 5) % bounds
+        for noun, noun2, template, adj, verb in picks.tolist():
+            text = _TEMPLATES[template].format(adj=adjs[adj], noun=nouns[noun],
+                                               noun2=nouns[noun2], verb=verbs[verb], topic=name)
             pairs.append((image_id, text))
 
     # Round-trip through f32 so the binary feature format is bit-exact.

@@ -464,7 +464,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
             fh.write(raw)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_checkpoint(path) -> ModelParams:

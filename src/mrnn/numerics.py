@@ -12,55 +12,96 @@ import math
 
 import numpy as np
 
-MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
+
+# Bulk draws are mixed this many values at a time, so each block's uint64
+# buffers (256 KB each) stay in L2.  random_array(513024), min of 30 on a
+# 2-core Xeon with 2 MB of L2 a core: 2^12 3.3 ms, 2^13 2.7, 2^14 2.3,
+# 2^15 2.4, 2^16 2.5, 2^17 3.2, 2^18 5.2; whole-array passes took 6.9 ms.
+RNG_BLOCK = 1 << 15
 
 SCALED_TANH_GAIN = 1.7159
 SCALED_TANH_SLOPE = 2.0 / 3.0
 
 
-class Rng:
-    """Counter-based splitmix64 generator.
+def _mix(z):
+    """splitmix64's finalizer: in place on a uint64 array, or a new np.uint64."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
+
+class Rng:
+    """Counter-based splitmix64 generator (Steele, Lea & Flood, OOPSLA 2014).
+
+    Draw k (from 1) is the finalizer of seed + k * golden gamma, mod 2**64.
     The same seed yields the same stream on every platform, whether values
     are drawn one at a time or in bulk, which is what makes training runs
     and synthetic corpora byte-reproducible.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed) & MASK64
         self._counter = 0
 
-    @staticmethod
-    def _mix(z: np.ndarray) -> np.ndarray:
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    def _claim(self, n: int) -> int:
+        """Advance past the next n draws; the unmixed word of the first."""
+        first = (self.seed + (self._counter + 1) * _GOLDEN) & MASK64
+        self._counter += n
+        return first
+
+    def _blocks(self, n: int):
+        """The next n draws, mixed ``RNG_BLOCK`` at a time: yields (lo, z)
+        with z the uint64 draws lo, lo + 1, ... in a buffer that the next
+        block overwrites."""
+        size = min(n, RNG_BLOCK)
+        step = np.arange(size, dtype=np.uint64)
+        step *= np.uint64(_GOLDEN)
+        buf = np.empty(size, np.uint64)
+        first = self._claim(n)
+        for lo in range(0, n, RNG_BLOCK):
+            z = buf[:n - lo]
+            np.add(step[:z.size], np.uint64((first + lo * _GOLDEN) & MASK64), out=z)
+            yield lo, _mix(z)
 
     def next_u64_array(self, n: int) -> np.ndarray:
         """Next n raw 64-bit values as a uint64 array."""
-        base = np.uint64(self.seed)
-        ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        self._counter += n
-        with np.errstate(over="ignore"):
-            return self._mix(base + ks * _GOLDEN)
+        out = np.empty(n, np.uint64)
+        for lo, z in self._blocks(n):
+            out[lo:lo + z.size] = z
+        return out
 
     def next_u64(self) -> int:
-        return int(self.next_u64_array(1)[0])
+        with np.errstate(over="ignore"):  # np.uint64 scalars warn where arrays wrap silently
+            return int(_mix(np.uint64(self._claim(1))))
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def random_array(self, n: int) -> np.ndarray:
-        return (self.next_u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return self.uniform(0.0, 1.0, n)
 
-    def uniform(self, low: float, high: float, n: int | None = None):
+    def uniform(self, low: float, high: float, n: int | None = None, dtype=np.float64):
+        """``low + (high - low) * random()``, or n of them as an array of
+        ``dtype``, computed in float64 and rounded once to ``dtype``."""
         if n is None:
             return low + (high - low) * self.random()
-        return low + (high - low) * self.random_array(n)
+        out = np.empty(n, dtype)
+        for lo, z in self._blocks(n):
+            z >>= _S11
+            x = z.view(np.float64)
+            np.multiply(z, 2.0 ** -53, out=x)  # each word becomes its float, in place
+            x *= high - low
+            np.add(x, low, out=out[lo:lo + x.size])
+        return out
 
     def randint(self, n: int) -> int:
         """Integer in [0, n).  Modulo bias is negligible for n << 2**64."""
@@ -69,9 +110,11 @@ class Rng:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates shuffle: for i from len - 1 down to 1, swap
+        item i with item ``randint(i + 1)``, all n - 1 words drawn at once."""
+        n = len(items)
+        picks = self.next_u64_array(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
     def choice(self, items, k: int) -> list:
@@ -120,4 +163,4 @@ def init_matrix(rows: int, cols: int, rng: Rng, dtype=np.float64) -> np.ndarray:
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dims must be positive")
     a = math.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-a, a, rows * cols).reshape(rows, cols).astype(dtype)
+    return rng.uniform(-a, a, rows * cols, dtype=dtype).reshape(rows, cols)

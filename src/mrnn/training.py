@@ -227,10 +227,10 @@ def train(config: TrainConfig, split: DatasetSplit,
                                        "lower the learning rate or enable clipping") from None
         sgd_seconds = time.perf_counter() - t0
 
-        epoch_cost = cost(params, examples, features, config.lambda_reg)
-        # data term > limit iff cost > limit + penalty; no penalty can trip it
-        if not (math.isfinite(epoch_cost) and epoch_cost <= limit + config.lambda_reg
-                * params.weight_sq_norm()):
+        # ``cost`` with its two terms kept apart: only the data term can trip ``limit``
+        data_term = bits_per_word(params, examples, features)
+        epoch_cost = data_term + config.lambda_reg * params.weight_sq_norm()
+        if not (math.isfinite(epoch_cost) and data_term <= limit):
             raise TrainingDiverged(f"epoch {epoch}: cost {epoch_cost:.6g} is not finite or its "
                                    f"data term is over {DIVERGED_FACTOR} log2(V) = {limit:.4g}; "
                                    "lower the learning rate or enable clipping")

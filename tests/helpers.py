@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: BLEU by explicit
 n-gram scanning, ranks by pairwise counting, gradients by central
 differences on the forward loss, by per-step BPTT or by one-sentence
-array passes.  ``run_cli`` drives the command line in this process, and
+array passes, the random stream by whole-array expressions, and
+checkpoints by a field-by-field writer.  ``run_cli`` drives the command line in this process, and
 ``run_cli_process`` in a new interpreter.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 import mrnn
 from mrnn import cli
 from mrnn.corpus import END_INDEX, FEATURE_MAGIC, FEATURE_VERSION, START_INDEX
-from mrnn.model import LN2
+from mrnn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LN2, VARIANTS
 from mrnn.numerics import Rng, relu, scaled_tanh, scaled_tanh_grad_from_output, softmax
 
 
@@ -249,6 +250,71 @@ def mean_sentence_gradient(params, token_lists, image_features):
         for name in total:
             total[name] += grads[name] / ((len(tokens) + 1) * LN2 * len(token_lists))
     return total
+
+
+class OracleRng:
+    """splitmix64 as whole-array expressions, each a pass over all n values
+    into a new array: the reference for ``Rng``'s blocked and scalar draws."""
+
+    GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+    MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+    MIX2 = np.uint64(0x94D049BB133111EB)
+
+    def __init__(self, seed):
+        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.counter = 0
+
+    def next_u64_array(self, n):
+        ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        with np.errstate(over="ignore"):
+            z = np.uint64(self.seed) + ks * self.GOLDEN
+            z = (z ^ (z >> np.uint64(30))) * self.MIX1
+            z = (z ^ (z >> np.uint64(27))) * self.MIX2
+            return z ^ (z >> np.uint64(31))
+
+    def next_u64(self):
+        return int(self.next_u64_array(1)[0])
+
+    def random(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def random_array(self, n):
+        return (self.next_u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    def uniform(self, low, high, n=None):
+        if n is None:
+            return low + (high - low) * self.random()
+        return low + (high - low) * self.random_array(n)
+
+    def randint(self, n):
+        return self.next_u64() % n
+
+    def init_matrix(self, rows, cols, dtype=np.float64):
+        a = math.sqrt(6.0 / (rows + cols))
+        return self.uniform(-a, a, rows * cols).reshape(rows, cols).astype(dtype)
+
+    def shuffle(self, items):
+        """Fisher-Yates, one ``randint`` per step."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randint(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+def checkpoint_bytes_oracle(params):
+    """The bytes of a checkpoint of ``params``, field by field, each payload
+    a little-endian float64 copy of its array."""
+    cfg = params.config
+    blob = CHECKPOINT_MAGIC + struct.pack("<IBB", CHECKPOINT_VERSION, VARIANTS.index(cfg.variant),
+                                          {np.float64: 0, np.float32: 1}[params.dtype.type])
+    blob += struct.pack("<6I", cfg.vocab_size, cfg.d_e1, cfg.d_e2, cfg.d_r, cfg.d_m, cfg.d_i)
+    blob += struct.pack("<I", len(params.names()))
+    for name in params.names():
+        arr = params.arrays[name]
+        blob += struct.pack("<H", len(name)) + name.encode("utf-8")
+        blob += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        blob += arr.astype("<f8").tobytes()
+    return blob
 
 
 def randomize_biases(params, seed):

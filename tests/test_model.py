@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from helpers import (block_rel_err, corrupt_checkpoint, numeric_sentence_gradient,
-                     per_step_backward, randomize_biases, sentence_backward,
+from helpers import (block_rel_err, checkpoint_bytes_oracle, corrupt_checkpoint,
+                     numeric_sentence_gradient, per_step_backward, randomize_biases, sentence_backward,
                      sentence_forward, sentence_inputs_targets)
 from mrnn.corpus import build_vocabulary
 from mrnn.model import (LN2, VARIANTS, ContextTrie, ModelConfig, ModelParams, Packing,
@@ -481,7 +481,28 @@ class TestNearestWords:
         assert np.mean(same) < np.mean(cross)
 
 
+class TestInitialize:
+    def test_peak_stays_near_the_arrays(self):
+        # weights are drawn RNG_BLOCK at a time: the peak above the arrays is
+        # a few block buffers, not a temporary of every weight per operation
+        config = ModelConfig(vocab_size=3331, d_i=4096)
+        tracemalloc.start()
+        try:
+            params = ModelParams.initialize(config, Rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(a.nbytes for a in params.arrays.values()) + (1 << 20)
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_the_field_by_field_writer(self, tmp_path, dtype):
+        params = ModelParams.initialize(tiny_config(), Rng(5), dtype=dtype)
+        params.arrays["W_out"] = np.asfortranarray(params["W_out"])  # not C-contiguous
+        save_checkpoint(params, tmp_path / "m.mrnm")
+        assert (tmp_path / "m.mrnm").read_bytes() == checkpoint_bytes_oracle(params)
+
     def test_round_trip_params_equal(self, tmp_path):
         params = tiny_params(seed=11)
         save_checkpoint(params, tmp_path / "m.mrnm")

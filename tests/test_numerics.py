@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrnn.numerics import Rng, init_matrix, matvec, relu, scaled_tanh, softmax
+from helpers import OracleRng
+from mrnn.numerics import RNG_BLOCK, Rng, init_matrix, matvec, relu, scaled_tanh, softmax
+
+SEEDS = (0, 2**63 + 5, 2**64 - 1)
 
 
 class TestMatvec:
@@ -125,6 +128,48 @@ class TestRng:
         one_at_a_time = Rng(7)
         scalar = np.array([one_at_a_time.random() for _ in range(64)])
         assert_array_equal(bulk, scalar)
+
+    def test_published_splitmix64_vectors(self):
+        # the reference generator's first outputs for seed 1234567, and for seed 0
+        expected = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                    4593380528125082431, 16408922859458223821]
+        scalar = Rng(1234567)
+        assert [scalar.next_u64() for _ in range(5)] == expected
+        assert Rng(1234567).next_u64_array(5).tolist() == expected
+        mixed = Rng(1234567)
+        assert [mixed.next_u64(), *mixed.next_u64_array(3).tolist(), mixed.next_u64()] == expected
+        assert Rng(0).next_u64() == 0xE220A8397B1DCDAF == Rng(0).next_u64_array(1)[0]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, RNG_BLOCK - 1, RNG_BLOCK, RNG_BLOCK + 1,
+                                   3 * RNG_BLOCK + 7])
+    def test_draws_match_the_whole_array_oracle(self, seed, n):
+        # scalar draws between the bulk ones: both counters must stay in step
+        rng, oracle = Rng(seed), OracleRng(seed)
+        for draw in (lambda r: r.next_u64_array(n), lambda r: r.next_u64(),
+                     lambda r: r.random_array(n), lambda r: r.random(),
+                     lambda r: r.uniform(-0.3, 0.7, n), lambda r: r.uniform(-2.0, 3.0),
+                     lambda r: r.randint(7)):
+            got, want = draw(rng), draw(oracle)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            else:
+                assert type(got) is type(want) and got == want
+        for dtype in (np.float64, np.float32):
+            if n:
+                got, want = init_matrix(n, 1, rng, dtype=dtype), oracle.init_matrix(n, 1, dtype)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert rng.next_u64() == oracle.next_u64()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 320])
+    def test_shuffle_matches_per_step_fisher_yates(self, n):
+        for seed in SEEDS:
+            rng, oracle = Rng(seed), OracleRng(seed)
+            got, want = list(range(n)), list(range(n))
+            rng.shuffle(got)
+            oracle.shuffle(want)
+            assert got == want
+            assert rng.next_u64() == oracle.next_u64()
 
     def test_different_seeds_differ(self):
         assert Rng(1).next_u64() != Rng(2).next_u64()

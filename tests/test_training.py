@@ -236,6 +236,14 @@ class TestTrain:
                                                    r"its data term is over 10 log2\(V\) = 30;"):
             train(config, split, store)
 
+    def test_epoch_cost_is_the_cost_of_the_trained_weights(self):
+        examples, store = random_examples(12, seed=3)
+        cfg = ModelConfig(vocab_size=11, d_i=3, d_e1=4, d_e2=4, d_r=6, d_m=8)
+        # a penalty as large as the data term, so each term's last bits show
+        params, report = train(self.small_config(cfg, learning_rate=0.1, lambda_reg=0.5, epochs=2),
+                               DatasetSplit(train=examples), store)
+        assert report.rows[-1].cost == cost(params, examples, store, 0.5)
+
     def test_large_penalty_never_trips_the_divergence_rule(self):
         cfg, split, store = uniform_dataset(n=2)
         limit = training.DIVERGED_FACTOR * np.log2(cfg.vocab_size)
