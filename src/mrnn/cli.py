@@ -9,9 +9,12 @@ come back as a single ``error: ...`` line on stderr and a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 from functools import partial
@@ -55,7 +58,41 @@ FILE_FLAGS = ("captions", "features", "split", "config", "checkpoint", "vocab")
 # Parsed values that are not options: the output directory and the dispatch.
 NOT_SETTINGS = ("out", "command", "eval_command", "func")
 REPORT_COLUMNS = ("epoch", "cost", "val_ppl", "grad_norm_mean", "grad_norm_max", "clip_frac")
-TIMING_COLUMNS = ("epoch", "seconds", "positions_per_s")
+TIMING_COLUMNS = ("epoch", "seconds", "positions_per_s", "sgd_s", "cost_s", "val_s")
+
+
+# The variables that set the BLAS thread count, recorded in every manifest.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS loaded in this process, read with
+    its own getter; None where no such library or getter is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            getter = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.restype = ctypes.c_int
+        return int(getter())
+    return None
+
+
+@functools.cache
+def blas_setup() -> dict:
+    """The BLAS build and thread setup of this process, for the manifest:
+    numpy's BLAS name and version, ``os.cpu_count()``, the thread variables
+    (None where unset) and OpenBLAS's effective thread count.  Computed once
+    per process; the thread count changes the bits of a GEMM's result."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "cpu_count": os.cpu_count(), "env": {var: os.environ.get(var) for var in THREAD_VARS},
+            "threads": _openblas_threads()}
 
 
 def _csv(rows) -> str:
@@ -74,7 +111,8 @@ def write_run(args, outputs: dict, metrics: dict | None = None,
     ``metrics.json``, strict JSON with ``null`` for a value that is not
     finite, and ``metrics.csv``.  The manifest's inputs are the file flags
     given; its settings are ``settings``, by default every other option the
-    command parsed.  Does nothing without ``--out``.
+    command parsed.  The manifest's ``blas`` records ``blas_setup()``.
+    Does nothing without ``--out``.
     """
     if args.out is None:
         return
@@ -99,6 +137,7 @@ def write_run(args, outputs: dict, metrics: dict | None = None,
             (out / file_name).write_text(_csv(content), encoding="utf-8")
     options = vars(args)
     manifest = {
+        "blas": blas_setup(),
         "command": "-".join(filter(None, (args.command, options.get("eval_command")))),
         "inputs": {name: {"path": str(options[name]), "sha256": sha256_file(options[name])}
                    for name in FILE_FLAGS if options.get(name) is not None},

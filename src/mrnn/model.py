@@ -136,13 +136,17 @@ class ModelParams:
         for arr in self.arrays.values():
             arr *= factor
 
+    def block_sq_norms(self) -> dict[str, float]:
+        """Each block's sum of squares, by name."""
+        return {name: float(np.sum(a * a)) for name, a in self.arrays.items()}
+
     def global_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for a in self.arrays.values())))
+        return float(np.sqrt(sum(self.block_sq_norms().values())))
 
     def weight_sq_norm(self) -> float:
         """Sum of squares over weight matrices only (biases excluded)."""
-        return sum(float(np.sum(a * a)) for n, a in self.arrays.items()
-                   if not n.startswith("b_"))
+        return sum(sq for name, sq in self.block_sq_norms().items()
+                   if not name.startswith("b_"))
 
 
 Gradients = ModelParams
@@ -376,7 +380,8 @@ def forward_sentence(params: ModelParams, tokens: list[int],
     return forward_batch(params, [tokens], [image_feature])
 
 
-def backward_batch(params: ModelParams, trace: ForwardTrace, weights) -> Gradients:
+def backward_batch(params: ModelParams, trace: ForwardTrace, weights,
+                   out: Gradients | None = None) -> Gradients:
     """Exact gradients of the weighted loss of B sentences, through all time.
 
     Sentence b's loss is its summed negative natural-log probability of the
@@ -387,9 +392,23 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, weights) -> Gradien
     so each weight gradient is one matrix product over the P packed rows;
     only the carry back through the recurrent weight is a loop, over the
     steps, with one row per sentence still running.
+
+    Every block is written into ``out`` (``matmul``/``sum`` with ``out=``,
+    ``E1`` zeroed before its scatter-add), whatever it held, and ``out`` is
+    returned; without it the gradients go into a new ``zeros_like``.  The
+    values are the same bits either way, so a training loop can reuse one
+    buffer for every step.
     """
-    cfg = params.config
     packing = trace.packing
+    grads = params.zeros_like() if out is None else out
+
+    def into(name, err, act=None):
+        """Block ``name``'s gradient: ``err.T @ act``, or the column sums of ``err``."""
+        if act is None:
+            np.sum(err, axis=0, out=grads.arrays[name])
+        else:
+            np.matmul(err.T, act, out=grads.arrays[name])
+
     dlogit = softmax(output_logits(params, trace.m))
     dlogit[np.arange(len(trace)), trace.targets] -= 1.0
     dlogit *= np.asarray(weights, dtype=dlogit.dtype)[packing.sent][:, None]
@@ -407,15 +426,22 @@ def backward_batch(params: ModelParams, trace: ForwardTrace, weights) -> Gradien
     dr_pre = dr
 
     de2_pre = (dr_pre @ params["W_in"] + dm_pre @ params["V_w"]) * (trace.e2 > 0)
-    g_e1 = np.zeros_like(params["E1"])
+    g_e1 = grads.arrays["E1"]
+    g_e1.fill(0.0)
     np.add.at(g_e1, trace.inputs, de2_pre @ params["E2"])
-    return Gradients(cfg, {
-        "E1": g_e1, "E2": de2_pre.T @ trace.e1, "b_e2": de2_pre.sum(axis=0),
-        "U_r": dr_pre.T @ r_prev, "W_in": dr_pre.T @ trace.e2, "b_r": dr_pre.sum(axis=0),
-        "V_w": dm_pre.T @ trace.e2, "V_r": dm_pre.T @ r,
-        **({} if trace.feats is None else {"V_I": dm_pre.T @ trace.feats[packing.sent]}),
-        "b_m": dm_pre.sum(axis=0), "W_out": dlogit.T @ trace.m, "b_out": dlogit.sum(axis=0),
-    })
+    into("E2", de2_pre, trace.e1)
+    into("b_e2", de2_pre)
+    into("U_r", dr_pre, r_prev)
+    into("W_in", dr_pre, trace.e2)
+    into("b_r", dr_pre)
+    into("V_w", dm_pre, trace.e2)
+    into("V_r", dm_pre, r)
+    into("b_m", dm_pre)
+    if trace.feats is not None:
+        into("V_I", dm_pre, trace.feats[packing.sent])
+    into("W_out", dlogit, trace.m)
+    into("b_out", dlogit)
+    return grads
 
 
 def backward_sentence(params: ModelParams, trace: ForwardTrace) -> Gradients:

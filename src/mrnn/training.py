@@ -81,8 +81,11 @@ class EpochRow:
     the applied steps (after clipping), ``clip_frac`` is the share of steps
     that clipping shortened, and ``positions_per_s`` counts the predicted
     positions trained per second of the SGD steps (the end-of-epoch cost
-    and validation are not in it).  ``seconds`` and ``positions_per_s`` are
-    the only wall-clock fields; the others repeat exactly on a rerun."""
+    and validation are not in it).  ``seconds`` is the whole epoch, and
+    ``sgd_s``, ``cost_s`` and ``val_s`` its phases: the SGD steps, the
+    end-of-epoch cost, and the validation perplexity (None in an epoch
+    without one).  ``seconds``, ``positions_per_s`` and the phases are the
+    only wall-clock fields; the others repeat exactly on a rerun."""
     epoch: int
     cost: float
     val_ppl: float | None
@@ -91,6 +94,9 @@ class EpochRow:
     grad_norm_max: float
     clip_frac: float
     positions_per_s: float
+    sgd_s: float
+    cost_s: float
+    val_s: float | None
 
 
 @dataclass
@@ -140,17 +146,18 @@ def cost(params: ModelParams, examples: list[CaptionedExample],
 
 
 def batch_gradient(params: ModelParams, examples: list[CaptionedExample],
-                   features: ImageFeatureStore | None) -> Gradients:
+                   features: ImageFeatureStore | None, out: Gradients | None = None) -> Gradients:
     """Gradient of one minibatch's data term.
 
     Each sentence's summed nat loss is divided by its predicted positions
     and by ln 2 (bits per word), and the batch takes the mean over its
     sentences (not the pooled positions of ``cost``); one packed forward
-    and one backward pass compute it all.
+    and one backward pass compute it all.  The gradient overwrites ``out``
+    and is returned (``backward_batch``); without ``out`` it is a new one.
     """
     n_pred = np.array([len(ex.tokens) + 1 for ex in examples])
     return backward_batch(params, _forward(params, examples, features),
-                          1.0 / (n_pred * LN2 * len(examples)))
+                          1.0 / (n_pred * LN2 * len(examples)), out)
 
 
 def sentence_gradient(params: ModelParams, example: CaptionedExample,
@@ -167,11 +174,14 @@ def apply_sgd_step(params: ModelParams, data_grad: Gradients, learning_rate: flo
                    lambda_reg: float, clip_norm: float | None) -> float:
     """One descent step; returns the applied global gradient norm.
 
-    ``data_grad`` is consumed: the regularizer gradient is folded into it,
-    then the whole thing is clipped and applied.  A norm that is not finite
-    raises ``TrainingDiverged``, naming the block with the largest norm,
-    before any weight changes.  The parameter update is the single-writer
-    step; callers must not share ``params`` concurrently.
+    ``data_grad`` is consumed: the regularizer gradient ``(2 lambda) W`` is
+    folded into it, then the whole thing is clipped and applied.  A norm
+    that is not finite raises ``TrainingDiverged``, naming the block with
+    the largest norm, before any weight changes.  Each block-sized
+    temporary (the penalty term, the squares of the norm, the scaled
+    update) is freed before the next is made, so a step holds at most one
+    beside ``params`` and ``data_grad``.  The parameter update is the
+    single-writer step; callers must not share ``params`` concurrently.
     """
     if lambda_reg:
         for name, arr in data_grad.arrays.items():
@@ -180,7 +190,7 @@ def apply_sgd_step(params: ModelParams, data_grad: Gradients, learning_rate: flo
     norm = data_grad.global_norm()
     if not math.isfinite(norm):
         with np.errstate(over="ignore", invalid="ignore"):
-            sq = {name: float(np.sum(a * a)) for name, a in data_grad.arrays.items()}
+            sq = data_grad.block_sq_norms()
         worst = max(sq, key=lambda name: (math.isnan(sq[name]), sq[name]))
         raise TrainingDiverged(f"gradient norm is {norm} (largest in block {worst})")
     if clip_norm is not None and norm > clip_norm:
@@ -198,9 +208,12 @@ def train(config: TrainConfig, split: DatasetSplit,
     units); the batch gradient is the mean over sentences, computed by one
     packed pass per batch (``batch_gradient``).  That mean weights each
     sentence alike, while the reported ``cost`` pools positions.  Examples
-    are reshuffled every epoch with the seeded generator.  A non-finite
-    gradient norm raises ``TrainingDiverged`` naming the epoch and the batch, and
-    so does a cost that is not finite or whose data term passes ``limit``.
+    are reshuffled every epoch with the seeded generator.  One gradient
+    buffer serves every step, so a step holds the parameters, one gradient
+    and at most one block-sized temporary beside the batch's activations.
+    A non-finite gradient norm raises ``TrainingDiverged`` naming the epoch
+    and the batch, and so does a cost that is not finite or whose data term
+    passes ``limit``.
     """
     examples = split.train
     if not examples:
@@ -210,6 +223,7 @@ def train(config: TrainConfig, split: DatasetSplit,
     report = TrainReport()
     positions = sum(len(ex.tokens) + 1 for ex in examples)
     limit = DIVERGED_FACTOR * math.log2(config.model.vocab_size)
+    grads = params.zeros_like()
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -218,14 +232,14 @@ def train(config: TrainConfig, split: DatasetSplit,
         norms = []
         for start in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[start:start + config.batch_size]]
-            batch_grad = batch_gradient(params, batch, features)
+            batch_gradient(params, batch, features, out=grads)
             try:
-                norms.append(apply_sgd_step(params, batch_grad, config.learning_rate,
+                norms.append(apply_sgd_step(params, grads, config.learning_rate,
                                             config.lambda_reg, config.clip_norm))
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"epoch {epoch}, batch {len(norms) + 1}: {exc}; "
                                        "lower the learning rate or enable clipping") from None
-        sgd_seconds = time.perf_counter() - t0
+        t_sgd = time.perf_counter()
 
         # ``cost`` with its two terms kept apart: only the data term can trip ``limit``
         data_term = bits_per_word(params, examples, features)
@@ -234,14 +248,17 @@ def train(config: TrainConfig, split: DatasetSplit,
             raise TrainingDiverged(f"epoch {epoch}: cost {epoch_cost:.6g} is not finite or its "
                                    f"data term is over {DIVERGED_FACTOR} log2(V) = {limit:.4g}; "
                                    "lower the learning rate or enable clipping")
-        val_ppl = None
+        t_cost = time.perf_counter()
+        val_ppl = val_s = None
         if split.validation and (epoch % config.eval_every == 0 or epoch == config.epochs):
             val_ppl = corpus_perplexity(params, split.validation, features)
+            val_s = time.perf_counter() - t_cost
         clipped = sum(config.clip_norm is not None and n >= config.clip_norm for n in norms)
         report.rows.append(EpochRow(epoch, epoch_cost, val_ppl, time.perf_counter() - t0,
                                     grad_norm_mean=sum(norms) / len(norms),
                                     grad_norm_max=max(norms), clip_frac=clipped / len(norms),
-                                    positions_per_s=positions / sgd_seconds))
+                                    positions_per_s=positions / (t_sgd - t0),
+                                    sgd_s=t_sgd - t0, cost_s=t_cost - t_sgd, val_s=val_s))
     return params, report
 
 

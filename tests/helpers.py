@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: BLEU by explicit
 n-gram scanning, ranks by pairwise counting, gradients by central
 differences on the forward loss, by per-step BPTT or by one-sentence
-array passes, the random stream by whole-array expressions, and
-checkpoints by a field-by-field writer.  ``run_cli`` drives the command line in this process, and
+array passes, an SGD step by a new array per product, the random stream
+by whole-array expressions, and checkpoints by a field-by-field writer.
+``run_cli`` drives the command line in this process, and
 ``run_cli_process`` in a new interpreter.
 """
 
@@ -250,6 +251,26 @@ def mean_sentence_gradient(params, token_lists, image_features):
         for name in total:
             total[name] += grads[name] / ((len(tokens) + 1) * LN2 * len(token_lists))
     return total
+
+
+def sgd_step_oracle(params, data_grad, learning_rate, lambda_reg, clip_norm):
+    """One SGD step on copies, each product a new array: ``(2 lambda) W``
+    added to each weight's gradient, the global norm as the root of the
+    blocks' sums of ``g * g``, clipping by ``clip_norm / norm``, then
+    ``W += -learning_rate * g``.  Returns (new arrays by name, applied norm)."""
+    grad = {name: arr.copy() for name, arr in data_grad.arrays.items()}
+    new = {name: arr.copy() for name, arr in params.arrays.items()}
+    for name, arr in grad.items():
+        if not name.startswith("b_"):
+            arr += (2.0 * lambda_reg) * params.arrays[name]
+    norm = float(np.sqrt(sum(float(np.sum(arr * arr)) for arr in grad.values())))
+    if clip_norm is not None and norm > clip_norm:
+        for arr in grad.values():
+            arr *= clip_norm / norm
+        norm = clip_norm
+    for name, arr in new.items():
+        arr += -learning_rate * grad[name]
+    return new, norm
 
 
 class OracleRng:

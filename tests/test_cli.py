@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
 import struct
 from pathlib import Path
@@ -124,9 +125,13 @@ class TestTrain:
         assert len(lines) == 13
         # the wall-clock columns have their own file
         timing = (workspace["run"] / "timing.csv").read_text().splitlines()
-        assert timing[0] == "epoch,seconds,positions_per_s"
+        assert timing[0] == "epoch,seconds,positions_per_s,sgd_s,cost_s,val_s"
         assert [line.split(",")[0] for line in timing[1:]] == [str(e) for e in range(1, 13)]
         assert all(float(value) > 0 for line in timing[1:] for value in line.split(",")[1:])
+        # the SGD steps, the epoch's cost and the validation are parts of the epoch
+        for line in timing[1:]:
+            _, seconds, _, *phases = map(float, line.split(","))
+            assert sum(phases) <= seconds
 
     def test_missing_feature_file_names_path(self, workspace, tmp_path):
         data = workspace["data"]
@@ -857,6 +862,26 @@ class TestManifest:
                                       for name, path in given.items()}
         assert sorted([*manifest["outputs"].values(), "manifest.json"]) == \
                sorted(p.name for p in out.iterdir())
+
+    def test_records_the_blas_setup(self, tmp_path):
+        # the BLAS thread count changes the bits of a GEMM, so every manifest
+        # records the BLAS setup, under its own key: two runs of one process
+        # write the same bytes
+        manifests = []
+        for sub in ("a", "b"):
+            run_cli("synth", "--images", "4", "--seed", "2", "--out", str(tmp_path / sub))
+            manifests.append((tmp_path / sub / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0])
+        assert "blas" not in manifest["settings"]
+        blas = manifest["blas"]
+        assert blas == cli.blas_setup()
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (blas["name"], blas["version"]) == (build["name"], build["version"])
+        assert blas["cpu_count"] == os.cpu_count()
+        assert blas["env"] == {var: os.environ.get(var) for var in
+                               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        assert blas["threads"] is None or blas["threads"] >= 1
 
     def test_bleu_max_len_is_recorded(self, workspace, tmp_path):
         # without length matching --max-len changes the captions, so the scores

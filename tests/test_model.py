@@ -361,6 +361,22 @@ class TestPackedBatch:
         for name in params.names():
             assert_allclose(grads[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    def test_into_a_reused_buffer_is_a_fresh_call(self, variant):
+        # training reuses one buffer for every step: every block is written
+        # whatever it held (NaN here), and E1's rows are summed from zero;
+        # BATCH repeats words, so some of those rows take several terms
+        params = randomize_biases(tiny_params(seed=14, variant=variant), 14)
+        weights = Rng(15).uniform(0.1, 2.0, len(BATCH))
+        trace = forward_batch(params, BATCH, BATCH_FEATS)
+        fresh = backward_batch(params, trace, weights)
+        buffer = params.zeros_like()
+        for arr in buffer.arrays.values():
+            arr.fill(np.nan)
+        assert backward_batch(params, trace, weights, out=buffer) is buffer
+        for name in params.names():
+            assert buffer[name].tobytes() == fresh[name].tobytes(), name
+
     def test_sentence_order_only_permutes_rows(self):
         params = randomize_biases(tiny_params(seed=14), 14)
         weights = np.arange(1.0, len(BATCH) + 1)

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from helpers import (block_rel_err, mean_sentence_gradient, numeric_sentence_gradient,
-                     randomize_biases, run_cli, sentence_forward, sentence_log2prob_oracle)
+                     randomize_biases, run_cli, sentence_forward, sentence_log2prob_oracle,
+                     sgd_step_oracle)
 from mrnn import cli, training
 from mrnn.corpus import (START_INDEX, CaptionedExample, DatasetSplit, ImageFeatureStore,
                          SynthSpec, generate_synthetic_corpus)
@@ -183,6 +187,23 @@ class TestSgdStep:
         for name in params.names():
             assert_array_equal(params[name], before[name])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("clips", [True, False])
+    def test_matches_the_step_with_a_new_array_per_product(self, dtype, clips):
+        # train() steps with one reused gradient buffer; each elementwise
+        # operation and each full-block sum stays as it was, so the weights
+        # and the norm are the same bits as the oracle's
+        cfg, _, _ = uniform_dataset()
+        params = randomize_biases(ModelParams.initialize(cfg, Rng(6), dtype=dtype), 6)
+        grads = randomize_biases(ModelParams.initialize(cfg, Rng(7), dtype=dtype), 7)
+        _, norm = sgd_step_oracle(params, grads, 0.1, 0.03, None)
+        clip = norm / 3 if clips else norm * 3
+        want, want_norm = sgd_step_oracle(params, grads, 0.1, 0.03, clip)
+        assert (want_norm == clip) == clips
+        assert apply_sgd_step(params, grads, 0.1, 0.03, clip) == want_norm
+        for name in params.names():
+            assert params[name].tobytes() == want[name].tobytes(), name
+
     def test_biases_not_regularized(self):
         cfg, _, _ = uniform_dataset()
         params = ModelParams.initialize(cfg, Rng(5))
@@ -243,6 +264,40 @@ class TestTrain:
         params, report = train(self.small_config(cfg, learning_rate=0.1, lambda_reg=0.5, epochs=2),
                                DatasetSplit(train=examples), store)
         assert report.rows[-1].cost == cost(params, examples, store, 0.5)
+
+    def test_an_epoch_holds_one_gradient(self):
+        # The bound on the traced peak of an epoch above its start:
+        # - the parameters and one gradient buffer, each `model` bytes;
+        # - one temporary as large as the largest block (E1 and W_out
+        #   here): the SGD step frees each such product before the next;
+        # - the activations of the largest pass.  A pass over P rows holds
+        #   its forward trace (e1, e2, r, m and the image rows) and one
+        #   (P, V) array of logits or output error, and its temporaries are
+        #   allowed twice that again.  The largest pass is the epoch's cost:
+        #   all 8 sentences are one scoring pack.
+        # A gradient that outlives its step (the previous batch's, alive
+        # while the next is computed) adds `model` bytes, which is more
+        # than the activation allowance at these sizes.
+        cfg = ModelConfig(vocab_size=1000, d_i=8, d_e1=128, d_e2=8, d_r=8, d_m=128)
+        rng = Rng(7)
+        examples = [CaptionedExample("a", [3 + rng.randint(997) for _ in range(2)], "x")
+                    for _ in range(8)]
+        store = ImageFeatureStore(["a"], [rng.uniform(-1.0, 1.0, 8)])
+        shapes = cfg.param_shapes().values()
+        model = 8 * sum(math.prod(shape) for shape in shapes)
+        largest = 8 * max(math.prod(shape) for shape in shapes)
+        rows = sum(len(ex.tokens) + 1 for ex in examples)
+        activations = 3 * 8 * rows * (cfg.vocab_size + cfg.d_e1 + cfg.d_e2 + cfg.d_r
+                                      + cfg.d_m + cfg.d_i)
+        config = self.small_config(cfg, epochs=1, batch_size=2, lambda_reg=1e-3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train(config, DatasetSplit(train=examples), store)
+            growth = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert growth <= 2 * model + largest + activations
 
     def test_large_penalty_never_trips_the_divergence_rule(self):
         cfg, split, store = uniform_dataset(n=2)
@@ -310,8 +365,9 @@ class TestTrain:
             + [f"{r.epoch},{r.cost!r},,{r.grad_norm_mean!r},{r.grad_norm_max!r},"
                f"{r.clip_frac!r}\n" for r in rows])  # no validation split -> blank
         assert (run / "timing.csv").read_text() == "".join(
-            ["epoch,seconds,positions_per_s\n"]
-            + [f"{r.epoch},{r.seconds!r},{r.positions_per_s!r}\n" for r in rows])
+            ["epoch,seconds,positions_per_s,sgd_s,cost_s,val_s\n"]
+            + [f"{r.epoch},{r.seconds!r},{r.positions_per_s!r},{r.sgd_s!r},{r.cost_s!r},\n"
+               for r in rows])  # no validation, so no validation seconds
 
     def test_lambda_must_be_nonnegative(self):
         # and both it and the learning rate finite
