@@ -16,6 +16,8 @@ import json
 import math
 import os
 import sys
+import time
+from collections import Counter
 from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
@@ -28,10 +30,11 @@ from .corpus import (MIN_COUNT, SynthSpec, build_dataset, build_vocabulary,
                      load_split_map, load_vocab, save_captions, save_features,
                      save_features_tsv, save_split_map, save_vocab, utf8_text)
 from .evaluation import (check_fractions, corpus_perplexity, generation_bleu,
-                         recall_curve, retrieval_eval, shortlist)
+                         near_tie_sentences, recall_curve, retrieval_eval, shortlist)
 from .inference import (GenerationConfig, generate, log2prob_matrix,
                         normalized_log2prob_matrix)
-from .model import VARIANTS, ModelConfig, load_checkpoint, nearest_words, save_checkpoint
+from .model import (VARIANTS, ModelConfig, load_checkpoint, nearest_words,
+                    output_logit_scale, save_checkpoint)
 from .numerics import Rng
 from .training import (_DTYPES, CHECK_THRESHOLD, TINY_CONFIG, TrainConfig,
                        TrainingDiverged, batch_gradient, gradient_check, train)
@@ -59,27 +62,49 @@ FILE_FLAGS = ("captions", "features", "split", "config", "checkpoint", "vocab")
 NOT_SETTINGS = ("out", "command", "eval_command", "func")
 REPORT_COLUMNS = ("epoch", "cost", "val_ppl", "grad_norm_mean", "grad_norm_max", "clip_frac")
 TIMING_COLUMNS = ("epoch", "seconds", "positions_per_s", "sgd_s", "cost_s", "val_s")
+RESCORE_COLUMNS = ("pass", "seconds", "sentences", "entries")
+
+# A retrieval score's float32 error is taken to be under half of
+# RESCORE_MARGIN * 2**-24 * a, a being the score's error scale: each
+# position's |log2 P| + 1 + the model's logit error scale
+# (``output_logit_scale``), summed as the score sums its positions.
+# Measured errors reached 0.85x 2**-24 * a on the 16 retrieval input seeds
+# (V=64) and 2.2x on tiny random-bias models whose outputs were sharpened
+# up to 100x (tests/test_rescore.py): half of 16 is 3.6x the worst.  A
+# re-scored entry past half its bound sends every sentence to float64
+# (``_retrieval_scores``).
+RESCORE_MARGIN = 16
 
 
 # The variables that set the BLAS thread count, recorded in every manifest.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# Where the loaded libraries are listed, and OpenBLAS's thread getters: the
+# scipy-openblas builds numpy ships, then a system OpenBLAS's.
+MAPS_PATH = "/proc/self/maps"
+THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                  "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
 def _openblas_threads() -> int | None:
     """The thread count of the OpenBLAS loaded in this process, read with
     its own getter; None where no such library or getter is found."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
+        with open(MAPS_PATH, encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
         return None
     for path in paths:
         try:
-            getter = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+        except OSError:
             continue
-        getter.restype = ctypes.c_int
-        return int(getter())
+        for name in THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return int(getter())
     return None
 
 
@@ -338,24 +363,29 @@ def _norm_feature_set(dataset, store, k: int, seed: int) -> np.ndarray:
 
 
 def _retrieval_scores(args, params, subset, store, dataset):
-    """Scores and same-shape boolean relevance for one direction, images in id
-    order and captions in subset order, so ties go to the lower id or caption."""
+    """Scores, same-shape boolean relevance and timing rows for one direction,
+    images in id order and captions in subset order, so ties go to the lower
+    id or caption.
+
+    A float64 model scores every pair with a float32 copy of its weights,
+    then only the sentences of a near-tie (``evaluation.near_tie_sentences``)
+    again in float64, so that the ranks are float64's (README, "Retrieval
+    precision"); a float32 model scores once.  The timing rows are
+    ``(pass, seconds, sentences, entries)``, one per precision.
+    """
     require_counts(args, "--norm-images", "--shortlist")
     image_ids = sorted({ex.image_id for ex in subset})
     row = {image_id: i for i, image_id in enumerate(image_ids)}
     own = np.array([row[ex.image_id] for ex in subset])  # each caption's image row
+    # sentence by image until the return, which puts the queries first
     relevant = own[:, None] == np.arange(len(image_ids))
     feats = store.matrix(image_ids)
     tokens = [ex.tokens for ex in subset]
-    if args.direction == "t2i":
-        log2p = log2prob_matrix(params, tokens, feats)
-        positions = np.array([len(t) + 1 for t in tokens])
-        # -log2 perplexity: higher = more relevant, and finite where the
-        # perplexity itself would overflow
-        return log2p / positions[:, None], relevant
-
-    norm_feats = _norm_feature_set(dataset, store, args.norm_images, args.seed)
-    scores = normalized_log2prob_matrix(params, tokens, feats, norm_feats).T
+    t2i = args.direction == "t2i"
+    positions = np.array([len(t) + 1 for t in tokens])
+    masked = np.zeros(relevant.shape, dtype=bool)
+    if not t2i:
+        norm_feats = _norm_feature_set(dataset, store, args.norm_images, args.seed)
     if args.shortlist:
         near = shortlist(feats, feats, size=args.shortlist)
         # each image is at distance 0 from itself, so it drops out only when
@@ -364,8 +394,61 @@ def _retrieval_scores(args, params, subset, store, dataset):
         near[lost, -1] = np.nonzero(lost)[0]
         keep = np.zeros((len(image_ids), len(image_ids)), dtype=bool)
         np.put_along_axis(keep, near, True, axis=1)
-        scores[~keep[:, own]] = -np.inf
-    return scores, relevant.T
+        masked = ~keep[:, own].T
+    floor = 1.0 + output_logit_scale(params)  # a position's error scale past |log2 P|
+    seconds, counts = Counter(), Counter()
+
+    def score(model, sentences):
+        """The sentences' scores and their error scales, (sentences, images)."""
+        start = time.perf_counter()
+        some = [tokens[i] for i in sentences]
+        if t2i:
+            # -log2 perplexity: higher = more relevant, and finite where the
+            # perplexity itself would overflow
+            scores = log2prob_matrix(model, some, feats) / positions[sentences, None]
+            scales = np.abs(scores) + floor
+        else:
+            scores, marginals = normalized_log2prob_matrix(model, some, feats, norm_feats)
+            # log2 P(s|q) and the marginal each sum the sentence's positions
+            scales = (np.abs(scores + marginals[:, None]) + np.abs(marginals)[:, None]
+                      + 2 * floor * positions[sentences, None])
+        scores[masked[sentences]] = -np.inf
+        seconds[model.dtype.name] += time.perf_counter() - start
+        counts[model.dtype.name] += len(sentences)
+        return scores, scales
+
+    queries_first = (lambda a: a) if t2i else np.transpose
+
+    def near_ties(scores, bounds, sentences, exact_ties=True):
+        return near_tie_sentences(queries_first(scores), queries_first(relevant[sentences]),
+                                  queries_first(bounds), 0 if t2i else 1, exact_ties)
+
+    every = np.arange(len(tokens))
+    two_pass = params.dtype == np.float64
+    scores, scales = score(params.astype(np.float32) if two_pass else params, every)
+    if two_pass:
+        bound = RESCORE_MARGIN * 2.0 ** -24 * scales  # 2**-24: float32's unit roundoff
+        redo = near_ties(scores, bound, every)
+        if len(redo):
+            exact, _ = score(params, redo)
+            finite = ~masked[redo]
+            # A float32 error past half its bound may hide an order.  And a
+            # float64 score moves in its last ulps (2**-53) with the other
+            # sentences of its call, so re-scored entries that close may
+            # order unlike the all-sentence call's; an exact tie comes from
+            # equal inputs (an exact repeat, equal image rows), which tie in
+            # every call.  Either way every sentence is scored in float64,
+            # in one call.
+            past_bound = not (np.abs(exact[finite] - scores[redo][finite])
+                              < bound[redo][finite] / 2).all()
+            ulps_apart = len(redo) < len(every) and len(near_ties(
+                exact, RESCORE_MARGIN * 2.0 ** -53 * scales[redo], redo, exact_ties=False))
+            if past_bound or ulps_apart:
+                redo, (exact, _) = every, score(params, every)
+            scores[redo] = exact
+    timing = [(name, float(seconds[name]), counts[name], counts[name] * len(image_ids))
+              for name in ("float32", "float64")]
+    return queries_first(scores), queries_first(relevant), timing
 
 
 def cmd_eval_retrieval(args) -> int:
@@ -378,13 +461,14 @@ def cmd_eval_retrieval(args) -> int:
                          f"got {args.fractions!r}") from None
     check_fractions(fractions)
     params, _, subset, store, dataset = _load_eval_inputs(args)
-    scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
+    scores, relevant, timing = _retrieval_scores(args, params, subset, store, dataset)
     metrics = retrieval_eval(scores, relevant, ks=(1, 5, 10))
     points = recall_curve(scores, relevant, fractions).points
     print(f"{args.direction} R@1 {metrics.r_at[1]:.1f} R@5 {metrics.r_at[5]:.1f} "
           f"R@10 {metrics.r_at[10]:.1f} Med_r {metrics.med_r}")
     print(_csv(points), end="")
-    write_run(args, {"curve": ("curve.csv", [("fraction", "mean_matches"), *points])},
+    write_run(args, {"curve": ("curve.csv", [("fraction", "mean_matches"), *points]),
+                     "timing": ("timing.csv", [RESCORE_COLUMNS, *timing])},
               metrics={"direction": args.direction, "r_at_1": metrics.r_at[1],
                        "r_at_5": metrics.r_at[5], "r_at_10": metrics.r_at[10],
                        "med_r": metrics.med_r})

@@ -100,6 +100,43 @@ def _ranked_hits(scores: np.ndarray, relevant: np.ndarray) -> np.ndarray:
     return np.take_along_axis(relevant, order, axis=1)
 
 
+# Entries of relevant candidates compared at once in ``near_tie_sentences``:
+# its (entries, candidates) temporaries stay near 8 MB apiece.
+TIE_BLOCK_ELEMENTS = 1 << 20
+
+
+def near_tie_sentences(scores: np.ndarray, relevant: np.ndarray, bounds: np.ndarray,
+                       sentence_axis: int, exact_ties: bool = True) -> np.ndarray:
+    """The sentences to re-score so that approximate scores rank as exact ones.
+
+    ``scores``, ``relevant`` and ``bounds`` are (queries, candidates), and
+    ``bounds`` bounds each score's error.  The sentences lie along
+    ``sentence_axis``: 0 when they are the queries (t2i), 1 when they are
+    the candidates (i2t).  A relevant and a non-relevant entry of one query
+    are a near-tie when their scores differ by at most the sum of their
+    bounds, and, with ``exact_ties`` False, by more than 0; a ``-inf`` entry
+    (masked by a shortlist) is in none.  The metrics read only where each
+    relevant candidate sorts against each non-relevant one
+    (``_ranked_hits``).  So once the picked sentences (the sorted indices
+    returned) hold their exact scores, the metrics equal the exact scores'
+    whenever every error is under half its bound.
+    """
+    scores, relevant = np.asarray(scores), np.asarray(relevant, dtype=bool)
+    finite = np.isfinite(scores)
+    ties = np.zeros(scores.shape, dtype=bool)
+    q, i = np.nonzero(relevant & finite)
+    step = max(1, TIE_BLOCK_ELEMENTS // max(1, scores.shape[1]))
+    for a in range(0, len(q), step):
+        bq, bi = q[a:a + step], i[a:a + step]
+        gap = np.abs(scores[bq] - scores[bq, bi][:, None])
+        close = (gap <= bounds[bq] + bounds[bq, bi][:, None]) & finite[bq] & ~relevant[bq]
+        if not exact_ties:
+            close &= gap > 0
+        r, j = np.nonzero(close)
+        ties[bq[r], j] = ties[bq[r], bi[r]] = True
+    return np.flatnonzero(ties.any(axis=1 - sentence_axis))
+
+
 def retrieval_eval(scores: np.ndarray, relevant: np.ndarray,
                    ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalMetrics:
     """R@K and median rank of the first retrieved relevant candidate.

@@ -156,8 +156,9 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
 
 
 def normalized_log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
-                               query_matrix, norm_images) -> np.ndarray:
-    """log2 P(s|q) - log2 mean_k P(s|I'_k) for every sentence s and query q, (S, Q).
+                               query_matrix, norm_images) -> tuple[np.ndarray, np.ndarray]:
+    """log2 P(s|q) - log2 mean_k P(s|I'_k) for every sentence s and query q, (S, Q),
+    and the marginals log2 mean_k P(s|I'_k), (S,).
 
     The conditioning gain over the sampled-image marginal, which de-biases
     generically probable sentences.  Query and norm images are scored in
@@ -168,7 +169,7 @@ def normalized_log2prob_matrix(params: ModelParams, token_lists: list[list[int]]
     n_query = len(query_matrix)
     logs = log2prob_matrix(params, token_lists, np.vstack([query_matrix, *norm_images]))
     marginals = log2_sum_exp2(logs[:, n_query:]) - math.log2(len(norm_images))
-    return logs[:, :n_query] - marginals[:, None]
+    return logs[:, :n_query] - marginals[:, None], marginals
 
 
 def log2_sum_exp2(values) -> np.ndarray:

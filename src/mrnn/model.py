@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import END_INDEX, START_INDEX, Vocabulary, check_length, read_exact
-from .numerics import (Rng, init_matrix, matvec, relu, scaled_tanh,
+from .numerics import (SCALED_TANH_GAIN, Rng, init_matrix, matvec, relu, scaled_tanh,
                        scaled_tanh_grad_from_output, softmax)
 
 LN2 = math.log(2.0)
@@ -126,6 +126,10 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every array cast to ``dtype``."""
+        return ModelParams(self.config, {k: v.astype(dtype) for k, v in self.arrays.items()})
 
     def add_scaled(self, other: "ModelParams", factor: float) -> None:
         """In-place self += factor * other (requires exclusive access)."""
@@ -340,6 +344,15 @@ def sentence_layers(params: ModelParams, token_lists) -> tuple[ForwardTrace, np.
 def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
     """Output-layer logits (``y`` before the softmax) for multimodal activations ``m``."""
     return m @ params["W_out"].T + params["b_out"]
+
+
+def output_logit_scale(params: ModelParams) -> float:
+    """The most, over output rows, of |b_out| + the scaled tanh's gain x the
+    row's 2-norm of ``W_out``: the scale of a logit's rounding error, in
+    units of the unit roundoff, when the activations' independent roundings
+    add in quadrature (Higham & Mary, SIAM J. Sci. Comput. 41(5), 2019)."""
+    norms = np.linalg.norm(params["W_out"], axis=1)
+    return float((np.abs(params["b_out"]) + SCALED_TANH_GAIN * norms).max())
 
 
 def target_log2prob(params: ModelParams, m: np.ndarray, targets: np.ndarray,

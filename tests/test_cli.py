@@ -20,6 +20,7 @@ from mrnn.corpus import (UNK_INDEX, CaptionedExample, DatasetSplit, ImageFeature
                          SynthSpec, build_vocabulary, generate_synthetic_corpus, load_features,
                          load_vocab, save_captions, save_features, save_vocab)
 from mrnn.estimator import MRNNCaptioner
+from mrnn.evaluation import retrieval_eval
 from mrnn.inference import log2prob_matrix, sentence_log2prob
 from mrnn.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, VARIANTS, ModelConfig,
                         ModelParams, load_checkpoint, save_checkpoint)
@@ -437,7 +438,16 @@ class TestEval:
         assert (tmp_path / "metrics.json").exists()
         outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
         assert outputs == {"curve": "curve.csv", "metrics_csv": "metrics.csv",
-                           "metrics_json": "metrics.json"}
+                           "metrics_json": "metrics.json", "timing": "timing.csv"}
+        # one row per precision: every sentence in float32, the near-ties' in float64
+        header, *rows = [line.split(",") for line in
+                         (tmp_path / "timing.csv").read_text().splitlines()]
+        assert header == ["pass", "seconds", "sentences", "entries"]
+        assert [r[0] for r in rows] == ["float32", "float64"]
+        n_sentences = int(rows[0][2])
+        n_images = int(rows[0][3]) // n_sentences
+        assert n_sentences > 0 and 0 <= int(rows[1][2]) <= n_sentences
+        assert all(int(r[3]) == int(r[2]) * n_images and float(r[1]) >= 0.0 for r in rows)
 
     @pytest.mark.parametrize("direction, engine", [("t2i", "log2prob_matrix"),
                                                    ("i2t", "normalized_log2prob_matrix")])
@@ -452,9 +462,15 @@ class TestEval:
         monkeypatch.setattr(cli, engine, counted)
         out = run_cli("eval", "retrieval", "--direction", direction, *eval_args(workspace),
                       "--subset", "train", "--norm-images", "4", "--out", str(tmp_path)).stdout
-        assert len(calls) == 1
+        # one float32 pass over every sentence, then at most one float64
+        # pass over the sentences of the near-ties, as timing.csv counts them
+        timing = [line.split(",") for line in
+                  (tmp_path / "timing.csv").read_text().splitlines()[1:]]
+        assert [(params.dtype.name, len(tokens)) for params, tokens, *_ in calls] == [
+            ("float32", int(timing[0][2])),
+            *[("float64", int(timing[1][2]))] * (timing[1][2] != "0")]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "curve.csv", "manifest.json", "metrics.csv", "metrics.json"]
+            "curve.csv", "manifest.json", "metrics.csv", "metrics.json", "timing.csv"]
         # the R@K line, then one curve row per default fraction
         assert out.startswith(f"{direction} R@1 ") and len(out.splitlines()) == 1 + 7
 
@@ -471,7 +487,7 @@ class TestEval:
         # the score matrix R@K ranks, masked by the shortlist where one is given
         args = build_parser().parse_args(argv)
         params, _, subset, store, dataset = cli._load_eval_inputs(args)
-        scores, relevant = _retrieval_scores(args, params, subset, store, dataset)
+        scores, relevant, _ = _retrieval_scores(args, params, subset, store, dataset)
         assert np.isfinite(scores).all() == (not extra)
         n_q, n_c = scores.shape
         # rank[q][i]: 1 + the candidates scored higher, or equal at a lower column
@@ -900,6 +916,11 @@ class TestManifest:
 class TestRetrievalScores:
     """The engine-backed score matrices against per-pair sentence_log2prob."""
 
+    @pytest.fixture(autouse=True)
+    def all_float64(self, monkeypatch):
+        # an infinite bound re-scores every sentence in float64, in one call
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", math.inf)
+
     @pytest.fixture(scope="class")
     def setup(self):
         spec = SynthSpec(n_topics=3, captions_per_image=2, train_frac=0.6, val_frac=0.2)
@@ -912,7 +933,7 @@ class TestRetrievalScores:
         params, dataset, store = setup
         args = argparse.Namespace(direction=direction, norm_images=4, seed=2,
                                   shortlist=shortlist)
-        return _retrieval_scores(args, params, dataset.train, store, dataset)
+        return _retrieval_scores(args, params, dataset.train, store, dataset)[:2]
 
     def test_t2i_matches_per_pair_oracle(self, setup):
         params, dataset, store = setup
@@ -963,7 +984,7 @@ class TestRetrievalScores:
         subset = [CaptionedExample(image_id, ex.tokens, "")
                   for image_id, ex in zip(ids * 2, dataset.train)]
         args = argparse.Namespace(direction="i2t", norm_images=4, seed=2, shortlist=1)
-        scores, relevant = _retrieval_scores(args, params, subset, store, DatasetSplit(subset))
+        scores, relevant, _ = _retrieval_scores(args, params, subset, store, DatasetSplit(subset))
         own = [[ex.image_id == image_id for ex in subset] for image_id in sorted(ids)]
         assert np.isfinite(scores).tolist() == own
         assert relevant.tolist() == own
@@ -987,6 +1008,169 @@ class TestRetrievalScores:
                        "--features", str(tmp_path / "features.mrnf"))
         assert proc.stderr == ""
         assert proc.stdout.startswith("i2t R@1 100.0 ")
+
+
+class TestRetrievalPrecision:
+    """A float64 model ranks from float32 scores, its near-ties re-scored in float64."""
+
+    FILES = ("metrics.json", "metrics.csv", "curve.csv")
+    SENTENCES = {"a": [3, 4], "b": [5, 6, 7]}
+
+    def metric_files(self, argv, out):
+        run_cli(*argv, "--out", str(out))
+        return [(out / name).read_bytes() for name in self.FILES]
+
+    @pytest.mark.parametrize("direction, extra", [("t2i", []), ("i2t", []),
+                                                  ("i2t", ["--shortlist", "3"])],
+                             ids=["t2i", "i2t", "i2t-shortlist"])
+    def test_metric_files_are_the_all_float64_ones(self, workspace, tmp_path, monkeypatch,
+                                                   direction, extra):
+        argv = ["eval", "retrieval", "--direction", direction, *eval_args(workspace),
+                "--subset", "train", "--norm-images", "5", *extra]
+        files = self.metric_files(argv, tmp_path / "default")
+        # an infinite bound makes every relevant and non-relevant pair a near-tie
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", math.inf)
+        assert files == self.metric_files(argv, tmp_path / "float64")
+
+    @pytest.mark.parametrize("direction", ["t2i", "i2t"])
+    def test_every_float32_error_is_under_half_its_bound(self, workspace, tmp_path,
+                                                         monkeypatch, direction):
+        # re-score every sentence, so that the self-check weighs every entry's
+        # float32 error against the bound the command uses: none passes half
+        # of it, so there is no second, all-float64 pass
+        monkeypatch.setattr(cli, "near_tie_sentences",
+                            lambda scores, relevant, bounds, axis, exact_ties=True:
+                            np.arange(scores.shape[axis]))
+        run_cli("eval", "retrieval", "--direction", direction, *eval_args(workspace),
+                "--subset", "train", "--norm-images", "5", "--out", str(tmp_path))
+        rows = [line.split(",") for line in
+                (tmp_path / "timing.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["float32", "float64"] and rows[0][2] == rows[1][2]
+
+    def test_float32_checkpoint_metric_files_are_pinned(self, workspace, tmp_path):
+        # a float32 model's reference precision is its own: one pass, as before
+        run = tmp_path / "run32"
+        data = workspace["data"]
+        run_cli("train", "--captions", str(data / "captions.tsv"),
+                "--features", str(data / "features.mrnf"),
+                "--split", str(data / "split.tsv"), "--out", str(run),
+                "--epochs", "12", "--learning-rate", "0.4", "--batch-size", "4",
+                "--d-e1", "12", "--d-e2", "12", "--d-r", "16", "--d-m", "16",
+                "--seed", "1", "--precision", "float32")
+        pinned = {
+            "t2i": ("4e09f533438f286ccd7d58822c5240cf207a6b284ff9124877a552c592959ac1",
+                    "1b752b3810242df6048ddd6d7ba35fee5c8fc16c0194c453bb44e7f2ed63ed5a",
+                    "b1804901186a38648ccd85c6217f97d5a72b763aa6b6f08c20de1ab2f34ebb69"),
+            "i2t": ("afee5bbfcd8bb640fb3c3f0bbc0e2d433ac4b0fbdb38f56c71203960d5250b9d",
+                    "cb2451c7f2503c214d9fcb5a90aedbd147b7448facd84b553a61541148415051",
+                    "337dabb344ff5165b21b4eb2d043d9b34d0e6fe4338d1457a33d044a60b2d411"),
+        }
+        for direction, digests in pinned.items():
+            out = tmp_path / direction
+            args = eval_args(workspace, "--subset", "train", "--norm-images", "5")
+            args[1], args[3] = str(run / "checkpoint.mrnm"), str(run / "vocab.txt")
+            run_cli("eval", "retrieval", "--direction", direction, *args, "--out", str(out))
+            assert tuple(sha256(out / name) for name in self.FILES) == digests, direction
+            timing = (out / "timing.csv").read_text().splitlines()
+            assert timing[2] == "float64,0.0,0,0"
+
+    def near_tie(self, steps=(np.inf, -np.inf)):
+        """(params, subset, store): image "b" is image "a" moved one step in one
+        coordinate, and b's own sentence, at the higher column, scores higher
+        on b in float64 but not in float32.  By default the step is one float64
+        ulp, so the two images and their float32 scores are equal; with finite
+        steps, b's float32 score is strictly below a's."""
+        cfg = ModelConfig(vocab_size=8, d_i=2, d_e1=3, d_e2=3, d_r=4, d_m=5)
+        for seed in range(20):
+            params = randomize_biases(ModelParams.initialize(cfg, Rng(seed)), seed)
+            draft = params.astype(np.float32)
+            a = Rng(seed).uniform(-1.0, 1.0, 2)
+            for coordinate in (0, 1):
+                for step in steps:
+                    b = a.copy()
+                    b[coordinate] = (np.nextafter(a[coordinate], step) if np.isinf(step)
+                                     else a[coordinate] + step)
+                    feats = np.array([a, b])
+                    tokens = list(self.SENTENCES.values())
+                    positions = np.array([[len(t) + 1] for t in tokens])
+                    exact = log2prob_matrix(params, tokens, feats)[1] / positions[1]
+                    approx = log2prob_matrix(draft, tokens, feats) / positions
+                    # an exact float32 tie elsewhere would send every sentence to float64
+                    settled = (approx[1, 1] == approx[1, 0] if np.isinf(step) else
+                               approx[1, 1] < approx[1, 0] and approx[0, 1] != approx[0, 0])
+                    if exact[1] > exact[0] and settled:
+                        subset = [CaptionedExample(i, tokens, "") for i, tokens in
+                                  self.SENTENCES.items()]
+                        return params, subset, ImageFeatureStore(["a", "b"], [a, b])
+        raise AssertionError("no near-tie found")
+
+    def scores(self, params, subset, store, direction="t2i"):
+        args = argparse.Namespace(direction=direction, norm_images=2, seed=0, shortlist=None)
+        return _retrieval_scores(args, params, subset, store, DatasetSplit(subset))
+
+    def ranks(self, params, subset, store):
+        scores, relevant, _ = self.scores(params, subset, store)
+        return retrieval_eval(scores, relevant).ranks
+
+    def test_a_float32_tie_is_settled_in_float64(self, monkeypatch):
+        params, subset, store = self.near_tie()
+        assert self.ranks(params, subset, store)[1] == 1
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", math.inf)
+        assert self.ranks(params, subset, store)[1] == 1  # as every pair in float64
+        # negative control: without the re-score the float32 tie goes to "a"
+        monkeypatch.setattr(cli, "near_tie_sentences", lambda *_: np.arange(0))
+        assert self.ranks(params, subset, store)[1] == 2
+
+    def test_a_float32_order_flip_is_settled_in_float64(self, monkeypatch):
+        # b's float32 score is below a's, not tied with it: only the bound
+        # makes the pair a near-tie
+        params, subset, store = self.near_tie(steps=[k * 3e-8 for k in range(-40, 41) if k])
+        scores = self.scores(params.astype(np.float32), subset, store)[0]
+        assert scores[1, 1] < scores[1, 0]
+        assert self.ranks(params, subset, store)[1] == 1
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", 0.0)
+        assert self.ranks(params, subset, store)[1] == 2
+
+    def test_an_error_past_half_its_bound_rescores_every_sentence(self, monkeypatch):
+        params, subset, store = self.near_tie()
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", math.inf)
+        exact = self.scores(params, subset, store)[0]
+        # a bound so small that the tied entries' float32 errors pass half of it
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", 1e-6)
+        scores, _, timing = self.scores(params, subset, store)
+        assert timing[1][0] == "float64" and timing[1][2] > len(subset)
+        assert np.array_equal(scores, exact)
+
+    def with_far_image(self, params, subset, store):
+        """The case with a third image, far from the others, and its own sentence."""
+        far = np.array([9.0, -9.0])
+        return ([*subset, CaptionedExample("c", [4, 7, 7, 3], "")],
+                ImageFeatureStore(["a", "b", "c"], [store.get("a"), store.get("b"), far]))
+
+    def test_rescored_scores_a_few_ulps_apart_are_scored_in_one_call(self, monkeypatch):
+        # a and b are one ulp apart, so the re-scored rows of sentences a
+        # and b hold float64 scores that close; a score of another call may
+        # differ in its last ulps, so all three sentences are scored again
+        params, subset, store = self.near_tie()
+        subset, store = self.with_far_image(params, subset, store)
+        scores, _, timing = self.scores(params, subset, store)
+        assert [row[2] for row in timing] == [3, 2 + 3]
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", math.inf)
+        assert np.array_equal(scores, self.scores(params, subset, store)[0])
+
+    def test_exact_repeats_of_two_images_are_rescored_once(self, monkeypatch):
+        # i2t: a's caption is b's too, so the pair is a float32 tie of two
+        # relevances; re-scored in one call, the repeats tie bit for bit, as
+        # they do in every call, so no further pass is needed
+        params, subset, store = self.near_tie()
+        subset, store = self.with_far_image(params, subset, store)
+        subset[1] = CaptionedExample("b", subset[0].tokens, "")
+        scores, relevant, timing = self.scores(params, subset, store, "i2t")
+        assert [row[2] for row in timing] == [3, 2]
+        assert scores[0, 0] == scores[0, 1]
+        monkeypatch.setattr(cli, "RESCORE_MARGIN", math.inf)
+        exact, _, _ = self.scores(params, subset, store, "i2t")
+        assert retrieval_eval(scores, relevant).ranks == retrieval_eval(exact, relevant).ranks
 
 
 class TestGradcheckCli:

@@ -262,3 +262,44 @@ def test_one_subprocess_call_site_and_four_tests_that_start_processes():
         "test_cli::TestEval::test_retrieval_rerun_identical_metrics",
         "test_cli::TestEntryPoint::test_python_m_mrnn_exit_codes",
     }
+
+
+def test_retrieval_scores_is_the_one_caller_of_the_engine_in_the_cli():
+    # both retrieval passes go through cli._retrieval_scores and the cli's
+    # engine names, so a test that monkeypatches those names covers them both
+    cli_path = PACKAGE_DIR / "cli.py"
+    engine = ("log2prob_matrix", "normalized_log2prob_matrix")
+    assert set(calls_by_function(cli_path, lambda f: getattr(f, "id", None) in engine)) == {
+        "cli::_retrieval_scores"}
+    below = ("word_layers", "target_log2prob", "scaled_tanh")
+    assert calls_by_function(cli_path, lambda f: getattr(f, "id", getattr(f, "attr", None))
+                             in below) == []
+
+
+class StandInOpenBlas:
+    """A loaded library that exposes one thread getter, by name."""
+
+    def __init__(self, getter, threads):
+        def get():
+            return threads
+        if getter is not None:
+            setattr(self, getter, get)
+
+
+@pytest.mark.parametrize("getter", cli.THREAD_GETTERS)
+def test_openblas_thread_getter_fallback(monkeypatch, tmp_path, getter):
+    maps = tmp_path / "maps"
+    maps.write_text("7f00-7f01 r-xp 00000000 00:00 1 /usr/lib/libopenblas.so.0\n"
+                    "7f02-7f03 r-xp 00000000 00:00 2 /usr/lib/libm.so.6\n")
+    loaded = []
+
+    def cdll(path):
+        loaded.append(path)
+        return StandInOpenBlas(getter, 3)
+    monkeypatch.setattr(cli, "MAPS_PATH", str(maps))
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._openblas_threads() == 3
+    assert loaded == ["/usr/lib/libopenblas.so.0"]
+    # a library with none of the getters records no count
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: StandInOpenBlas(None, 3))
+    assert cli._openblas_threads() is None
