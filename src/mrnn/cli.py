@@ -31,8 +31,7 @@ from .corpus import (MIN_COUNT, SynthSpec, build_dataset, build_vocabulary,
                      save_features_tsv, save_split_map, save_vocab, utf8_text)
 from .evaluation import (check_fractions, corpus_perplexity, generation_bleu,
                          near_tie_sentences, recall_curve, retrieval_eval, shortlist)
-from .inference import (GenerationConfig, generate, log2prob_matrix,
-                        normalized_log2prob_matrix)
+from .inference import GenerationConfig, generate, log2_sum_exp2, log2prob_matrix
 from .model import (VARIANTS, ModelConfig, load_checkpoint, nearest_words,
                     output_logit_scale, save_checkpoint)
 from .numerics import Rng
@@ -127,7 +126,7 @@ def _csv(rows) -> str:
 
 
 def write_run(args, outputs: dict, metrics: dict | None = None,
-              settings: dict | None = None) -> None:
+              settings: dict | None = None, unread=()) -> None:
     """Write a command's outputs and its ``manifest.json`` into ``--out``.
 
     ``outputs`` maps each output's manifest name to ``(file name, content)``:
@@ -136,7 +135,8 @@ def write_run(args, outputs: dict, metrics: dict | None = None,
     ``metrics.json``, strict JSON with ``null`` for a value that is not
     finite, and ``metrics.csv``.  The manifest's inputs are the file flags
     given; its settings are ``settings``, by default every other option the
-    command parsed.  The manifest's ``blas`` records ``blas_setup()``.
+    command parsed but the ``unread`` ones, which the run never read.  The
+    manifest's ``blas`` records ``blas_setup()``.
     Does nothing without ``--out``.
     """
     if args.out is None:
@@ -169,7 +169,7 @@ def write_run(args, outputs: dict, metrics: dict | None = None,
         "outputs": {name: file_name for name, (file_name, _) in outputs.items()},
         "settings": settings if settings is not None else {
             name: value for name, value in options.items()
-            if name not in FILE_FLAGS + NOT_SETTINGS},
+            if name not in (*FILE_FLAGS, *NOT_SETTINGS, *unread)},
         "tool": "mrnn",
         "version": __version__,
     }
@@ -346,7 +346,9 @@ def cmd_eval_bleu(args) -> int:
                                max_length=args.max_len,
                                cumulative=not args.order_only)
     print(f"B-1 {score.b1:.4f} B-2 {score.b2:.4f} B-3 {score.b3:.4f}")
-    write_run(args, {}, metrics={"b1": score.b1, "b2": score.b2, "b3": score.b3})
+    # length matching overrides --max-len
+    write_run(args, {}, metrics={"b1": score.b1, "b2": score.b2, "b3": score.b3},
+              unread=() if args.no_length_match else ("max_len",))
     return 0
 
 
@@ -408,9 +410,14 @@ def _retrieval_scores(args, params, subset, store, dataset):
             scores = log2prob_matrix(model, some, feats) / positions[sentences, None]
             scales = np.abs(scores) + floor
         else:
-            scores, marginals = normalized_log2prob_matrix(model, some, feats, norm_feats)
-            # log2 P(s|q) and the marginal each sum the sentence's positions
-            scales = (np.abs(scores + marginals[:, None]) + np.abs(marginals)[:, None]
+            # log2 P(s|q) less the sentence's marginal over the norm images,
+            # log2 mean_k P(s|I'_k), from one pass over the sentences; each
+            # of the two sums the sentence's positions
+            logs = log2prob_matrix(model, some, np.vstack([feats, norm_feats]))
+            log2p = logs[:, :len(feats)]
+            marginals = log2_sum_exp2(logs[:, len(feats):]) - math.log2(len(norm_feats))
+            scores = log2p - marginals[:, None]
+            scales = (np.abs(log2p) + np.abs(marginals)[:, None]
                       + 2 * floor * positions[sentences, None])
         scores[masked[sentences]] = -np.inf
         seconds[model.dtype.name] += time.perf_counter() - start
@@ -471,7 +478,9 @@ def cmd_eval_retrieval(args) -> int:
                      "timing": ("timing.csv", [RESCORE_COLUMNS, *timing])},
               metrics={"direction": args.direction, "r_at_1": metrics.r_at[1],
                        "r_at_5": metrics.r_at[5], "r_at_10": metrics.r_at[10],
-                       "med_r": metrics.med_r})
+                       "med_r": metrics.med_r},
+              # only i2t samples norm images
+              unread=("norm_images", "seed") if args.direction == "t2i" else ())
     return 0
 
 

@@ -85,10 +85,8 @@ def generate(params: ModelParams, vocab: Vocabulary, image_feature,
     term = None if term is None else term[0]
 
     r = np.zeros(params.config.d_r, dtype=params.dtype)
-    y, r = forward_step(params, START_INDEX, r, term)
-    out: list[int] = []
-    for w in gcfg.prefix or []:
-        out.append(w)
+    out = list(gcfg.prefix or [])
+    for w in [START_INDEX, *out]:
         y, r = forward_step(params, w, r, term)
     while len(out) < gcfg.limit:
         w = _pick(y, gcfg.mode, rng, ban_end=gcfg.force_length is not None)
@@ -127,7 +125,10 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
     sentence position picks its target's log probability from its node's
     row, and each sentence sums its terms in time order, so an exact repeat
     follows the same path and ties exactly.  Agrees with
-    ``sentence_log2prob`` to rounding.
+    ``sentence_log2prob`` to rounding.  A sentence's float64 score moves by
+    1-3 ulps with the other sentences of the call, which shape the trie's
+    node blocks and so the matrix products, so scoring the sentences in
+    parts does not reproduce the bits of one call.
     """
     img = image_term(params, image_matrix)
     if img is None:
@@ -153,23 +154,6 @@ def log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
             logp = target_log2prob(params, m, targets[lo:hi], node[lo:hi] - a)
             np.add.at(logs[:, n:n + chunk], sent[lo:hi], logp.T)
     return logs
-
-
-def normalized_log2prob_matrix(params: ModelParams, token_lists: list[list[int]],
-                               query_matrix, norm_images) -> tuple[np.ndarray, np.ndarray]:
-    """log2 P(s|q) - log2 mean_k P(s|I'_k) for every sentence s and query q, (S, Q),
-    and the marginals log2 mean_k P(s|I'_k), (S,).
-
-    The conditioning gain over the sampled-image marginal, which de-biases
-    generically probable sentences.  Query and norm images are scored in
-    the same pass over each sentence.
-    """
-    if len(norm_images) == 0:
-        raise ValueError("norm_images must be non-empty")
-    n_query = len(query_matrix)
-    logs = log2prob_matrix(params, token_lists, np.vstack([query_matrix, *norm_images]))
-    marginals = log2_sum_exp2(logs[:, n_query:]) - math.log2(len(norm_images))
-    return logs[:, :n_query] - marginals[:, None], marginals
 
 
 def log2_sum_exp2(values) -> np.ndarray:

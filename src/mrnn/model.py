@@ -218,7 +218,7 @@ class ContextTrie:
                    node=state[1:] - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardTrace:
     """The forward activations of B sentences, packed time-major (``Packing``).
 
@@ -226,17 +226,18 @@ class ForwardTrace:
     timestep of one sentence; for one sentence the rows are its timesteps in
     order.  ``r`` has P+1 rows: row 0 is the zero initial state and row i+1
     the state after consuming ``inputs[i]``.  ``feats`` holds the B image
-    features; it stays None for the baseline variant.  ``target_log2prob``
+    features; it is None for the baseline variant only.  ``target_log2prob``
     scores ``m``, and ``backward_batch`` takes the softmax of its logits.
+    ``forward_batch`` builds every trace, complete.
     """
     inputs: np.ndarray
     r: np.ndarray
     packing: Packing
-    targets: np.ndarray | None = None
+    targets: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    m: np.ndarray
     feats: np.ndarray | None = None
-    e1: np.ndarray | None = None
-    e2: np.ndarray | None = None
-    m: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -328,19 +329,6 @@ def multimodal_base(params: ModelParams, e2: np.ndarray, r: np.ndarray) -> np.nd
     return m_base
 
 
-def sentence_layers(params: ModelParams, token_lists) -> tuple[ForwardTrace, np.ndarray]:
-    """The layers below the image over B sentences of content tokens, packed.
-
-    Returns a trace with ``inputs``, ``targets``, ``r``, ``packing``, ``e1``
-    and ``e2`` filled (``frame``, ``word_layers``), and the sentences'
-    ``multimodal_base``, (P, d_m).
-    """
-    packing, inputs, targets = frame(params, token_lists)
-    e1, e2, r = word_layers(params, inputs, packing)
-    trace = ForwardTrace(inputs, r, packing, targets, e1=e1, e2=e2)
-    return trace, multimodal_base(params, e2, r[1:])
-
-
 def output_logits(params: ModelParams, m: np.ndarray) -> np.ndarray:
     """Output-layer logits (``y`` before the softmax) for multimodal activations ``m``."""
     return m @ params["W_out"].T + params["b_out"]
@@ -376,15 +364,17 @@ def forward_batch(params: ModelParams, token_lists: list[list[int]],
     ``image_features`` is (B, d_i), row b for sentence b (ignored by the
     baseline).  Every r(0) is the zero vector.
     """
-    trace, m_pre = sentence_layers(params, token_lists)
+    packing, inputs, targets = frame(params, token_lists)
+    e1, e2, r = word_layers(params, inputs, packing)
+    m_pre = multimodal_base(params, e2, r[1:])
     term = image_term(params, image_features)
+    feats = None
     if term is not None:
         if len(term) != len(token_lists):
             raise ValueError(f"image features for {len(term)} sentences, not {len(token_lists)}")
-        trace.feats = np.asarray(image_features, dtype=params.dtype)
-        m_pre = m_pre + term[trace.packing.sent]
-    trace.m = scaled_tanh(m_pre)
-    return trace
+        feats = np.asarray(image_features, dtype=params.dtype)
+        m_pre += term[packing.sent]
+    return ForwardTrace(inputs, r, packing, targets, e1, e2, scaled_tanh(m_pre), feats)
 
 
 def forward_sentence(params: ModelParams, tokens: list[int],
@@ -473,9 +463,8 @@ def nearest_words(params: ModelParams, vocab: Vocabulary, token: str, k: int) ->
     idx = vocab.token_to_index[token]
     e1 = params["E1"]
     dists = np.sqrt(np.sum((e1 - e1[idx]) ** 2, axis=1))
-    order = sorted((i for i in range(len(vocab)) if i != idx),
-                   key=lambda i: (dists[i], i))
-    return [vocab.index_to_token[i] for i in order[:k]]
+    order = np.argsort(dists, kind="stable")
+    return [vocab.index_to_token[i] for i in order[order != idx][:k]]
 
 
 # ---------------------------------------------------------------------------

@@ -449,17 +449,16 @@ class TestEval:
         assert n_sentences > 0 and 0 <= int(rows[1][2]) <= n_sentences
         assert all(int(r[3]) == int(r[2]) * n_images and float(r[1]) >= 0.0 for r in rows)
 
-    @pytest.mark.parametrize("direction, engine", [("t2i", "log2prob_matrix"),
-                                                   ("i2t", "normalized_log2prob_matrix")])
+    @pytest.mark.parametrize("direction", ["t2i", "i2t"])
     def test_metrics_and_curve_from_one_scoring_pass(self, workspace, tmp_path, monkeypatch,
-                                                     direction, engine):
+                                                     direction):
         calls = []
-        score = getattr(cli, engine)
+        score = cli.log2prob_matrix
 
         def counted(*args, **kwargs):
             calls.append(args)
             return score(*args, **kwargs)
-        monkeypatch.setattr(cli, engine, counted)
+        monkeypatch.setattr(cli, "log2prob_matrix", counted)
         out = run_cli("eval", "retrieval", "--direction", direction, *eval_args(workspace),
                       "--subset", "train", "--norm-images", "4", "--out", str(tmp_path)).stdout
         # one float32 pass over every sentence, then at most one float64
@@ -542,7 +541,6 @@ class TestEval:
         def no_scoring(*args, **kwargs):
             raise AssertionError("pairs were scored")
         monkeypatch.setattr(cli, "log2prob_matrix", no_scoring)
-        monkeypatch.setattr(cli, "normalized_log2prob_matrix", no_scoring)
         proc = run_cli("eval", "retrieval", "--direction", direction, *eval_args(workspace),
                        "--subset", "train", "--fractions", fractions, check=False)
         assert (proc.returncode, proc.stdout) == (1, "")
@@ -837,8 +835,9 @@ def option_names(*command):
 
 
 class TestManifest:
-    """Each command's manifest records every non-file option it parsed as a
-    setting, every file flag given as an input and every file it wrote."""
+    """Each command's manifest records every non-file option it parsed and
+    read as a setting, every file flag given as an input and every file it
+    wrote."""
 
     def command_args(self, ws, command, tmp_path):
         data, run = ws["data"], ws["run"]
@@ -864,7 +863,9 @@ class TestManifest:
         run_cli(*argv, "--out", str(out))
         manifest = json.loads((out / "manifest.json").read_text())
         args = build_parser().parse_args([*argv, "--out", str(out)])
-        assert set(manifest["settings"]) == option_names(*command.split())
+        # length matching overrides --max-len
+        unread = {"max_len"} if command == "eval bleu" else set()
+        assert set(manifest["settings"]) == option_names(*command.split()) - unread
         if command == "train":
             assert manifest["settings"] == {**resolve_settings(args), "clip_norm": "5.0"}
             assert manifest["settings"]["d_r"] == 4  # resolved from the config file
@@ -912,6 +913,23 @@ class TestManifest:
         assert [s["max_len"] for s in settings] == [2, 20]
         assert all(s["no_length_match"] is True for s in settings)
 
+    @pytest.mark.parametrize("command, flags", [
+        (["retrieval", "--direction", "t2i"],
+         [["--norm-images", "5", "--seed", "1"], ["--norm-images", "50", "--seed", "2"]]),
+        (["bleu"], [["--max-len", "3"], ["--max-len", "40"]]),
+    ], ids=["t2i", "length-matched-bleu"])
+    def test_flags_the_run_never_reads_are_not_recorded(self, workspace, tmp_path,
+                                                         command, flags):
+        # t2i samples no norm images, and length matching overrides --max-len:
+        # runs that differ only in those flags are equal runs, manifest included
+        runs = []
+        for n, given in enumerate(flags):
+            out = tmp_path / str(n)
+            run_cli("eval", *command, *eval_args(workspace), "--subset", "train", *given,
+                    "--out", str(out))
+            runs.append([(out / name).read_bytes() for name in ("manifest.json", "metrics.json")])
+        assert runs[0] == runs[1]
+
 
 class TestRetrievalScores:
     """The engine-backed score matrices against per-pair sentence_log2prob."""
@@ -929,11 +947,31 @@ class TestRetrievalScores:
                           d_e1=5, d_e2=6, d_r=7, d_m=9)
         return randomize_biases(ModelParams.initialize(cfg, Rng(8)), 9), dataset, store
 
-    def scores(self, setup, direction, shortlist=None):
+    def scores(self, setup, direction, shortlist=None, norm_images=4):
         params, dataset, store = setup
-        args = argparse.Namespace(direction=direction, norm_images=4, seed=2,
+        args = argparse.Namespace(direction=direction, norm_images=norm_images, seed=2,
                                   shortlist=shortlist)
         return _retrieval_scores(args, params, dataset.train, store, dataset)[:2]
+
+    def one_norm_image(self, setup):
+        """The i2t scores with one norm image, the query ids and the norm image's id."""
+        _, dataset, _ = setup
+        image_ids = sorted({ex.image_id for ex in dataset.train})
+        (norm,) = Rng(2).choice(image_ids, 1)
+        return self.scores(setup, "i2t", norm_images=1)[0], image_ids, norm
+
+    def test_i2t_single_norm_image_is_log_ratio(self, setup):
+        params, dataset, store = setup
+        scores, image_ids, norm = self.one_norm_image(setup)
+        for c, ex in enumerate(dataset.train):
+            lo = sentence_log2prob_oracle(params, ex.tokens, store.get(norm))
+            for q, image_id in enumerate(image_ids):
+                lq = sentence_log2prob_oracle(params, ex.tokens, store.get(image_id))
+                assert scores[q, c] == pytest.approx(lq - lo, abs=1e-9)
+
+    def test_i2t_norm_by_the_query_itself_gives_zero_scores(self, setup):
+        scores, image_ids, norm = self.one_norm_image(setup)
+        np.testing.assert_allclose(scores[image_ids.index(norm)], 0.0, rtol=0, atol=1e-12)
 
     def test_t2i_matches_per_pair_oracle(self, setup):
         params, dataset, store = setup

@@ -10,8 +10,7 @@ from mrnn import inference, model
 from mrnn.corpus import END_INDEX, build_vocabulary
 from mrnn.evaluation import retrieval_eval
 from mrnn.inference import (GenerationConfig, generate, log2_sum_exp2,
-                            log2prob_matrix, marginal_log2prob,
-                            normalized_log2prob_matrix, sentence_log2prob)
+                            log2prob_matrix, marginal_log2prob, sentence_log2prob)
 from mrnn.model import ModelConfig, ModelParams, forward_step, image_term, output_logits
 from mrnn.numerics import Rng
 
@@ -278,29 +277,6 @@ class TestLog2ProbMatrix:
             ModelConfig(vocab_size=VOCAB.size, d_i=3, variant="baseline", d_r=6), Rng(0))
         with pytest.raises(ValueError, match="mrnn variant"):
             log2prob_matrix(baseline, [[3]], np.zeros((2, 3)))
-
-
-class TestNormalizedLog2ProbMatrix:
-    CANDS = [[3, 4], [5, 6, 7], [8, 9]]
-
-    def test_norm_by_query_itself_gives_zero_scores(self):
-        scores, marginals = normalized_log2prob_matrix(make_params(8), self.CANDS, [FEAT], [FEAT])
-        assert scores.shape == (3, 1) and marginals.shape == (3,)
-        np.testing.assert_allclose(scores, 0.0, rtol=0, atol=1e-12)
-
-    def test_single_norm_image_is_log_ratio(self):
-        params = make_params(9)
-        other = Rng(60).uniform(-1, 1, 3)
-        scores, marginals = normalized_log2prob_matrix(params, self.CANDS, [FEAT], [other])
-        for tokens, score, marginal in zip(self.CANDS, scores[:, 0], marginals):
-            lq = sentence_log2prob_oracle(params, tokens, FEAT)
-            lo = sentence_log2prob_oracle(params, tokens, other)
-            assert score == pytest.approx(lq - lo, abs=1e-9)
-            assert marginal == pytest.approx(lo, abs=1e-9)
-
-    def test_empty_norm_images_error(self):
-        with pytest.raises(ValueError, match="norm_images"):
-            normalized_log2prob_matrix(make_params(), self.CANDS, [FEAT], [])
 
 
 class TestLogSumExp:

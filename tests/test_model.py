@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -11,8 +12,8 @@ from helpers import (block_rel_err, checkpoint_bytes_oracle, corrupt_checkpoint,
 from mrnn.corpus import build_vocabulary
 from mrnn.model import (LN2, VARIANTS, ContextTrie, ModelConfig, ModelParams, Packing,
                         backward_batch, backward_sentence, forward_batch, forward_sentence,
-                        forward_step, frame, image_term, load_checkpoint, nearest_words,
-                        output_logits, save_checkpoint, sentence_layers, target_log2prob,
+                        forward_step, frame, image_term, load_checkpoint, multimodal_base,
+                        nearest_words, output_logits, save_checkpoint, target_log2prob,
                         word_layers)
 from mrnn.numerics import Rng, scaled_tanh, softmax
 
@@ -43,6 +44,13 @@ def probs(params, trace):
 def log2prob(params, trace):
     """A trace's summed log2 probability of its targets."""
     return float(target_log2prob(params, trace.m, trace.targets).sum())
+
+
+def packed_m_base(params, token_lists):
+    """The sentences' image-free multimodal pre-activations, packed, (P, d_m)."""
+    packing, inputs, _ = frame(params, token_lists)
+    _, e2, r = word_layers(params, inputs, packing)
+    return multimodal_base(params, e2, r[1:])
 
 
 class TestConfig:
@@ -153,7 +161,7 @@ class TestForward:
     def test_batched_layers_match_forward_step(self):
         params = randomize_biases(tiny_params(seed=5), 5)
         inputs, _ = sentence_inputs_targets([1, 9, 2, 4])
-        _, m_base = sentence_layers(params, [[1, 9, 2, 4]])
+        m_base = packed_m_base(params, [[1, 9, 2, 4]])
         term = params["V_I"] @ FEAT
         m = scaled_tanh(m_base + term)
         r = np.zeros(6)
@@ -163,7 +171,7 @@ class TestForward:
 
     def test_batched_word_index_out_of_range(self):
         with pytest.raises(IndexError):
-            sentence_layers(tiny_params(), [[11]])
+            frame(tiny_params(), [[11]])
 
 
 class TestTargetLog2Prob:
@@ -179,7 +187,7 @@ class TestTargetLog2Prob:
     def test_leading_image_axis_matches_each_image_alone(self):
         # log2prob_matrix scores (images, P, d_m) chunks in one call
         params = randomize_biases(tiny_params(seed=22), 22)
-        _, m_base = sentence_layers(params, [[1, 9, 2, 4], [3, 3]])
+        m_base = packed_m_base(params, [[1, 9, 2, 4], [3, 3]])
         images = Rng(23).uniform(-1, 1, 4 * 3).reshape(4, 3)
         m = scaled_tanh(m_base + (images @ params["V_I"].T)[:, None, :])
         targets = np.arange(len(m_base)) % 11
@@ -322,9 +330,9 @@ class TestContextTrie:
         packing, inputs, _ = frame(params, self.SENTENCES)
         trie = ContextTrie.of(packing, inputs)
         _, e2, r = word_layers(params, trie.inputs, trie)
-        trace, _ = sentence_layers(params, self.SENTENCES)
-        assert_array_equal(e2[trie.node], trace.e2)
-        assert_allclose(r[1:][trie.node], trace.r[1:], rtol=0, atol=1e-15)
+        _, packed_e2, packed_r = word_layers(params, inputs, packing)
+        assert_array_equal(e2[trie.node], packed_e2)
+        assert_allclose(r[1:][trie.node], packed_r[1:], rtol=0, atol=1e-15)
 
 
 class TestPackedBatch:
@@ -341,6 +349,15 @@ class TestPackedBatch:
             assert_allclose(trace.r[rows + 1], ref["r"][1:], rtol=0, atol=1e-13)
             assert_allclose(trace.m[rows], ref["m"], rtol=0, atol=1e-13)
             assert_allclose(probs(params, trace)[rows], ref["y"], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
+    def test_trace_is_frozen_and_complete(self, variant):
+        trace = forward_batch(tiny_params(variant=variant), BATCH, BATCH_FEATS)
+        assert (trace.feats is None) == (variant == "baseline")
+        for field in dataclasses.fields(trace):
+            assert field.name == "feats" or getattr(trace, field.name) is not None
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, field.name, None)
 
     @pytest.mark.parametrize("variant", ["mrnn", "baseline"])
     def test_gradient_is_weighted_sum_of_sentence_gradients(self, variant):

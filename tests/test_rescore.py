@@ -11,6 +11,7 @@ sharpened until scores near 0, that float32 scores do stay within half of
 """
 
 import argparse
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mrnn import cli  # noqa: E402
 from mrnn.evaluation import near_tie_sentences, recall_curve, retrieval_eval  # noqa: E402
 from mrnn.corpus import (END_INDEX, START_INDEX, CaptionedExample, DatasetSplit,  # noqa: E402
                          ImageFeatureStore)
-from mrnn.inference import log2prob_matrix, normalized_log2prob_matrix  # noqa: E402
+from mrnn.inference import log2_sum_exp2, log2prob_matrix  # noqa: E402
 from mrnn.model import (ModelConfig, ModelParams, forward_step, image_term,  # noqa: E402
                         output_logit_scale)
 from mrnn.numerics import Rng  # noqa: E402
@@ -141,11 +142,16 @@ def test_float32_scores_lie_within_half_their_bound(case):
     approx = log2prob_matrix(draft, sentences, queries) / positions
     assert (np.abs(approx - exact) < half * (np.abs(exact) + floor)).all()
     # i2t: the conditioning gain, log2 P(s|q) less the sentence's marginal,
-    # both sums over positions
-    exact, marginals = normalized_log2prob_matrix(params, sentences, queries, norm)
-    approx, _ = normalized_log2prob_matrix(draft, sentences, queries, norm)
-    scales = (np.abs(exact + marginals[:, None]) + np.abs(marginals)[:, None]
-              + 2 * floor * positions)
+    # both sums over positions, from one call on the query and norm images
+    def i2t(model):
+        logs = log2prob_matrix(model, sentences, np.vstack([queries, norm]))
+        marginals = log2_sum_exp2(logs[:, len(queries):]) - math.log2(len(norm))
+        return logs[:, :len(queries)], marginals
+
+    log2p, marginals = i2t(params)
+    draft_log2p, draft_marginals = i2t(draft)
+    exact, approx = log2p - marginals[:, None], draft_log2p - draft_marginals[:, None]
+    scales = np.abs(log2p) + np.abs(marginals)[:, None] + 2 * floor * positions
     assert (np.abs(approx - exact) < half * scales).all()
 
 

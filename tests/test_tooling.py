@@ -266,11 +266,10 @@ def test_one_subprocess_call_site_and_four_tests_that_start_processes():
 
 def test_retrieval_scores_is_the_one_caller_of_the_engine_in_the_cli():
     # both retrieval passes go through cli._retrieval_scores and the cli's
-    # engine names, so a test that monkeypatches those names covers them both
+    # one engine name, so a test that monkeypatches that name covers them both
     cli_path = PACKAGE_DIR / "cli.py"
-    engine = ("log2prob_matrix", "normalized_log2prob_matrix")
-    assert set(calls_by_function(cli_path, lambda f: getattr(f, "id", None) in engine)) == {
-        "cli::_retrieval_scores"}
+    assert set(calls_by_function(cli_path, lambda f: getattr(f, "id", None)
+                                 == "log2prob_matrix")) == {"cli::_retrieval_scores"}
     below = ("word_layers", "target_log2prob", "scaled_tanh")
     assert calls_by_function(cli_path, lambda f: getattr(f, "id", getattr(f, "attr", None))
                              in below) == []
